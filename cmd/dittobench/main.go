@@ -11,7 +11,8 @@
 //	dittobench -all [-scale full]
 //
 // Output is plain text: the same rows/series each figure plots. See
-// EXPERIMENTS.md for measured-vs-paper comparisons.
+// docs/BENCHMARKS.md for the experiment catalog, the figure each one
+// reproduces, and the schema of every -json artifact.
 package main
 
 import (

@@ -1,7 +1,7 @@
-// Command dittolint is Ditto's single lint entry point: the
-// project-invariant analyzer suite (simdet, verbplan, lockverb,
-// hotalloc, typederr) bundled with the stock correctness passes
-// (atomic, copylocks, and the gated nilness stub) behind one binary.
+// Command dittolint is Ditto's project-invariant analyzer suite
+// (simdet, verbplan, lockverb, hotalloc, typederr) behind one binary.
+// The stock correctness passes (atomic, copylocks, printf, ...) stay
+// with `go vet ./...`, which the standalone mode runs first.
 //
 // It runs two ways:
 //
@@ -38,21 +38,17 @@ import (
 	"ditto/internal/analysis/hotalloc"
 	"ditto/internal/analysis/lockverb"
 	"ditto/internal/analysis/simdet"
-	"ditto/internal/analysis/stock"
 	"ditto/internal/analysis/typederr"
 	"ditto/internal/analysis/verbplan"
 )
 
-// suite is every analyzer dittolint runs, project invariants first.
+// suite is every analyzer dittolint runs.
 var suite = []*analysis.Analyzer{
 	simdet.Analyzer,
 	verbplan.Analyzer,
 	lockverb.Analyzer,
 	hotalloc.Analyzer,
 	typederr.Analyzer,
-	stock.Atomic,
-	stock.Copylocks,
-	stock.Nilness,
 }
 
 func main() {

@@ -43,7 +43,6 @@ package ditto
 import (
 	"ditto/internal/cachealgo"
 	"ditto/internal/core"
-	"ditto/internal/exec"
 	"ditto/internal/fairness"
 	"ditto/internal/sim"
 )
@@ -115,19 +114,6 @@ type MultiCluster = core.MultiCluster
 // MultiClient routes operations to the memory node owning each key and
 // serves the forwarding window during live reshards.
 type MultiClient = core.MultiClient
-
-// ReshardStrategy selects how a MultiCluster's resharder executes its
-// migration verb plans (MultiCluster.ReshardStrategy).
-type ReshardStrategy = exec.Strategy
-
-// Reshard strategies: ReshardDoorbell (the default) pipelines the table
-// scan and the per-key migrations as doorbell batches, cutting reshard
-// completion time severalfold; ReshardSerial issues one verb per round
-// trip — the paper-faithful baseline. Results are identical.
-const (
-	ReshardSerial   ReshardStrategy = exec.Serial
-	ReshardDoorbell ReshardStrategy = exec.Doorbell
-)
 
 // NewMultiCluster builds a deployment over n memory nodes; opts describes
 // the pool's aggregate capacity. Nodes added later with AddNode receive

@@ -18,7 +18,8 @@
 // mutex is "held" from a Lock/RLock call (or for the remainder of the
 // function after a defer Unlock/RUnlock, the usual pairing) until a
 // matching Unlock/RUnlock on the same receiver expression. Any rdma
-// verb, doorbell post, or exec.Run* reached while held is reported.
+// verb, doorbell post, or executor run (exec.Runner and its strategy
+// runners) reached while held is reported.
 // Code that genuinely must post under a mutex (none should) states why
 // with //dittolint:allow lockverb (reason).
 package lockverb

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFixture runs lockverb over its testdata package: verbs and
-// exec.Run entry points issued while a sync mutex is held (directly or
+// executor entry points issued while a sync mutex is held (directly or
 // via defer Unlock) are flagged; release-before-issue is not.
 func TestFixture(t *testing.T) {
 	l, err := analysis.NewLoader(".")

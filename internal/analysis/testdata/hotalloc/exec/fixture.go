@@ -1,7 +1,7 @@
 // Fixture for the hotalloc analyzer, executor side: loaded by
 // RunFixture under the import path ditto/internal/exec, so methods on
-// Runner, SerialRunner, and DoorbellRunner are swept — and the free
-// functions (the documented allocate-per-call form) are not.
+// Runner, SerialRunner, and DoorbellRunner are swept — and free helper
+// functions are not.
 
 package exec
 
@@ -42,14 +42,14 @@ type Runner struct {
 	Doorbell DoorbellRunner
 }
 
-func (r *Runner) RunOne(p Plan) {
-	rs := []Result{{}} // want `\[\]exec\.Result literal in hot function RunOne allocates per call`
+func (r *Runner) RunPlans(p Plan) {
+	rs := []Result{{}} // want `\[\]exec\.Result literal in hot function RunPlans allocates per call`
 	_ = rs
 	r.Serial.Run(p)
 }
 
-// RunSerial is the free allocate-per-call form: not swept.
-func RunSerial(p Plan) {
+// issueAll is a free helper, not a runner method: not swept.
+func issueAll(p Plan) {
 	res := make([]Result, 4) // free function: no finding
 	_ = res
 }

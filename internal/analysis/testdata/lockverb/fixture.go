@@ -30,9 +30,9 @@ func (g *guarded) verbUnderDeferredUnlock(addr uint64) []byte {
 	return g.ep.Read(addr, 8) // want `rdma\.Endpoint\.Read issued while holding mutex g\.mu`
 }
 
-func (g *guarded) execUnderRLock(plans []exec.Plan) {
+func (g *guarded) execUnderRLock(r *exec.Runner, plans []exec.Plan) {
 	g.rw.RLock()
-	exec.Run(exec.Serial, plans...) // want `exec\.Run issued while holding mutex g\.rw`
+	r.RunPlans(exec.Serial, plans) // want `exec\.Runner\.RunPlans issued while holding mutex g\.rw`
 	g.rw.RUnlock()
 }
 
@@ -52,10 +52,9 @@ func (g *guarded) lockAroundLocalWork(addr uint64) []byte {
 
 func (g *guarded) pooledRunnerUnderLock(r *exec.Runner, p exec.Plan, plans []exec.Plan) {
 	g.mu.Lock()
-	r.RunOne(exec.Serial, p)         // want `exec\.Runner\.RunOne issued while holding mutex g\.mu`
 	r.RunPlans(exec.Doorbell, plans) // want `exec\.Runner\.RunPlans issued while holding mutex g\.mu`
 	r.Serial.Run(p)                  // want `exec\.SerialRunner\.Run issued while holding mutex g\.mu`
 	r.Doorbell.Run(plans)            // want `exec\.DoorbellRunner\.Run issued while holding mutex g\.mu`
 	g.mu.Unlock()
-	r.RunOne(exec.Serial, p) // released: no finding
+	r.Serial.Run(p) // released: no finding
 }

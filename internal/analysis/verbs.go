@@ -53,10 +53,9 @@ func RDMAVerb(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // BlockingVerbIssue reports whether call can block on verb traffic:
-// a direct rdma verb, or a plan-executor entry point — the free
-// functions (exec.Run, exec.RunSerial, exec.RunDoorbell) and the
-// pooled runners' methods (Runner.RunOne/RunPlans, SerialRunner.Run,
-// DoorbellRunner.Run) — which issue verbs on the caller's behalf.
+// a direct rdma verb, or a plan-executor entry point — the runners'
+// methods (Runner.RunPlans, SerialRunner.Run, DoorbellRunner.Run)
+// — which issue verbs on the caller's behalf.
 func BlockingVerbIssue(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if name, ok := RDMAVerb(info, call); ok {
 		return name, true
@@ -68,7 +67,7 @@ func BlockingVerbIssue(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if recv := ReceiverNamed(fn); recv != nil {
 		switch recv.Obj().Name() {
 		case "Runner":
-			if fn.Name() == "RunOne" || fn.Name() == "RunPlans" {
+			if fn.Name() == "RunPlans" {
 				return "exec.Runner." + fn.Name(), true
 			}
 		case "SerialRunner", "DoorbellRunner":
@@ -76,11 +75,6 @@ func BlockingVerbIssue(info *types.Info, call *ast.CallExpr) (string, bool) {
 				return "exec." + recv.Obj().Name() + ".Run", true
 			}
 		}
-		return "", false
-	}
-	switch fn.Name() {
-	case "Run", "RunSerial", "RunDoorbell":
-		return "exec." + fn.Name(), true
 	}
 	return "", false
 }

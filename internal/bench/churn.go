@@ -137,8 +137,9 @@ func sampledPerEviction(st, rs core.Stats) float64 {
 // the Set tail to hot-key CAS contention, which no reclaim scheme can
 // remove; 0.8 keeps the tail owned by eviction work.) It returns the
 // aggregate result, the Set latency histogram, the summed client stats,
-// and the reclaimer's.
+// and the reclaimer's. Eviction batches run under strat.
 func runChurn(objects, clients, opsEach int, background bool, strat exec.Strategy) (Result, *stats.Histogram, core.Stats, core.Stats) {
+	defer core.SetMaintenanceStrategy(strat)()
 	env := sim.NewEnv(benchSeed(43))
 	// 320-byte-class values against a CacheBytes of objects*320: the heap
 	// binds at ~`objects` live keys, the table (2.5 slots per expected
@@ -149,7 +150,6 @@ func runChurn(objects, clients, opsEach int, background bool, strat exec.Strateg
 	// regime where moving eviction off the write path matters most.
 	opts.Experts = []string{"LRU", "LFU", "GDSF"}
 	cl := core.NewCluster(env, opts)
-	cl.ReclaimStrategy = strat
 	if background {
 		cl.EnableBackgroundReclaim(0, 0)
 	}

@@ -20,10 +20,11 @@ import (
 // the same one-sided verbs as client traffic, and the forwarding window
 // keeps every key readable throughout.
 //
-// The scenario runs twice, once per reshard strategy of the verb-plan
-// executor (internal/exec): Serial issues one verb per round trip — the
-// paper-faithful baseline — while Doorbell (the default) pipelines the
-// table scan and the per-key migrations as doorbell batches. Three equal
+// The scenario runs twice, once per strategy of the verb-plan executor
+// (internal/exec), selected with core.SetMaintenanceStrategy: Serial
+// issues one verb per round trip — the paper-faithful baseline — while
+// Doorbell (production) pipelines the table scan and the per-key
+// migrations as doorbell batches. Three equal
 // phases are reported for each: steady state on 2 MNs, the reshard window
 // (both AddNode migrations run here), and steady state on 4 MNs. The
 // shape to expect: client throughput holds (or rises with the aggregate
@@ -51,9 +52,9 @@ func ElasticReshard(w io.Writer, scale Scale) error {
 	var rows []stratRow
 
 	for _, strat := range []exec.Strategy{exec.Serial, exec.Doorbell} {
+		restore := core.SetMaintenanceStrategy(strat)
 		env := sim.NewEnv(benchSeed(17))
 		mc := core.NewMultiCluster(env, 2, core.DefaultOptions(keys*2, keys*512))
-		mc.ReshardStrategy = strat
 		factory := func(p *sim.Proc) CacheOps { return mc.NewClient(p) }
 		RunLoad(env, factory, loadKeys(keys), 16)
 
@@ -93,6 +94,7 @@ func ElasticReshard(w io.Writer, scale Scale) error {
 			mc.WaitReshard(p)
 		})
 		env.Run()
+		restore()
 
 		sr := stratRow{
 			Strategy:  strat.String(),

@@ -43,7 +43,7 @@ var Experiments = map[string]Experiment{
 	"24":     {Fig24, "Figure 24: ablation of the sample-friendly table, lightweight history and lazy weights"},
 	"25":     {Fig25, "Figure 25: throughput/p99 vs client-side FC cache size (YCSB-C)"},
 	"table3": {Table3, "Table 3: integration effort (LOC) and access information of the 12 algorithms"},
-	// Design-choice ablation sweeps (DESIGN.md §5) — not paper figures.
+	// Design-choice ablation sweeps (docs/BENCHMARKS.md) — not paper figures.
 	"abl-k":     {SweepSampleK, "Sweep: eviction sample size K (paper default 5)"},
 	"abl-fct":   {SweepFCThreshold, "Sweep: FC cache combining threshold t (paper default 10)"},
 	"abl-batch": {SweepBatchSize, "Sweep: lazy weight-update batch size (paper default 100)"},

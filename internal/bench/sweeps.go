@@ -9,8 +9,8 @@ import (
 	"ditto/internal/workload"
 )
 
-// The sweeps below are the ablation benches DESIGN.md §5 calls out for
-// Ditto's tunable design choices. They are not figures in the paper — the
+// The sweeps below are the ablation benches docs/BENCHMARKS.md lists under
+// "Design-choice ablation sweeps", one per tunable design choice. They are not figures in the paper — the
 // paper reports only the grid-searched defaults (K=5, t=10, batch=100,
 // history=cache size) — but they regenerate the trade-offs behind those
 // choices.

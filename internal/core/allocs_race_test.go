@@ -13,3 +13,7 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 func TestAllocsPerOpSteadyStateSpecGet(t *testing.T) {
 	t.Skip("alloc counts are not meaningful under -race")
 }
+
+func TestAllocsPerOpSteadyStateReplicatedSet(t *testing.T) {
+	t.Skip("alloc counts are not meaningful under -race")
+}

@@ -145,3 +145,47 @@ func TestAllocsPerOpSteadyStateSpecGet(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestAllocsPerOpSteadyStateReplicatedSet holds the write-through path
+// of hot-key replication to the same contract: a steady-state Set to a
+// promoted key (R=2) invalidates both replica copies, publishes on the
+// primary, and re-materializes the copies — two replica fan-outs of
+// pooled plans through the MultiClient's runner plus the primary store —
+// and must allocate NOTHING. The -race build gets a skipping twin
+// (allocs_race_test.go).
+func TestAllocsPerOpSteadyStateReplicatedSet(t *testing.T) {
+	env := sim.NewEnv(13)
+	mc := NewMultiCluster(env, 3, hotOptions(3000))
+	mc.EnableHotKeyReplication(2, 4, 64)
+	env.Go("meter", func(p *sim.Proc) {
+		m := mc.NewClient(p)
+		k, v := key(0), value(0)
+		m.Set(k, v)
+		for i := 0; i < 16 && mc.hot.Lookup(k) == nil; i++ {
+			m.Get(k)
+		}
+		e := mc.hot.Lookup(k)
+		if e == nil || len(e.Replicas) != 2 {
+			t.Fatal("hot key was not promoted onto two replicas")
+		}
+		// Credit the entry with reads so the measured write stream never
+		// trips write-heavy demotion: every Set must take the
+		// write-through path.
+		e.Reads = 1 << 40
+		for r := 0; r < 3; r++ {
+			m.Set(k, v)
+		}
+		promos, demos := mc.Promotions, mc.Demotions
+		sets := testing.AllocsPerRun(200, func() {
+			m.Set(k, v)
+		})
+		t.Logf("allocs/op: replicated set=%.1f", sets)
+		if mc.hot.Lookup(k) != e || mc.Promotions != promos || mc.Demotions != demos {
+			t.Fatal("the measured Sets did not all write through the same entry")
+		}
+		if sets != 0 {
+			t.Errorf("steady-state replicated Set allocates %.1f objects/op, want 0", sets)
+		}
+	})
+	env.Run()
+}

@@ -583,7 +583,8 @@ func (c *Client) Set(key, value []byte) {
 			// Both buckets full of live objects and valid history entries:
 			// evict the lowest-priority live object from the key's buckets
 			// directly (slot reclaimed immediately; no history entry for
-			// this corner case — see DESIGN.md §6). If the buckets hold no
+			// this corner case — the insert needs the slot itself, which a
+			// history entry would keep occupied). If the buckets hold no
 			// live object at all (all history), sacrifice the oldest
 			// history entry. Then retry with a freed slot.
 			// pl.scanned views the plan's pooled slot scratch — consumed

@@ -125,15 +125,6 @@ type Cluster struct {
 	// only client-local state; read it through ServedReads().
 	servedReads stats.ShardedCounter
 
-	// ReclaimStrategy selects how multi-victim eviction batches execute —
-	// the background reclaimer's rounds and the write paths' over-budget
-	// drains: exec.Doorbell (the default) samples several windows and
-	// CASes several victims per doorbell round; exec.Serial issues one
-	// verb per round trip, the paper-faithful per-key chain. Results are
-	// identical (pinned by the eviction equivalence test); single
-	// evictions on the write path always run serially.
-	ReclaimStrategy exec.Strategy
-
 	reclaimEnabled bool
 	reclaimKick    *sim.Cond
 	reclaimer      *Client
@@ -143,13 +134,6 @@ type Cluster struct {
 	// injection); dead marks a fail-stopped node (Crash).
 	reclaimRestarts int64
 	dead            bool
-
-	// reclaimStratFn, when non-nil, overrides ReclaimStrategy at use
-	// time. MultiCluster installs it on every node so a pool-level
-	// MultiCluster.ReclaimStrategy assignment takes effect like its
-	// ReshardStrategy/ReplicaStrategy siblings — read when batches run,
-	// not copied at construction.
-	reclaimStratFn func() exec.Strategy
 
 	// avgVictimBlocks is a running estimate of the eviction victim size
 	// (in blocks), used to size multi-victim reclaim rounds so a drain
@@ -241,12 +225,11 @@ func NewCluster(env *sim.Env, opts Options) *Cluster {
 	mn.SetHeapLimit(opts.CacheBytes)
 
 	cl := &Cluster{
-		Env:             env,
-		MN:              mn,
-		Layout:          hashtable.Layout{Config: tblCfg, Base: base},
-		opts:            opts,
-		ReclaimStrategy: exec.Doorbell,
-		tenantUsage:     stats.NewTenantCounter(MaxTenants),
+		Env:         env,
+		MN:          mn,
+		Layout:      hashtable.Layout{Config: tblCfg, Base: base},
+		opts:        opts,
+		tenantUsage: stats.NewTenantCounter(MaxTenants),
 	}
 
 	cl.histSize = opts.HistorySize
@@ -307,6 +290,29 @@ func (cl *Cluster) ShrinkCache(bytes int) {
 	cl.kickReclaimer()
 }
 
+// ------------------------------------------------------ Maintenance strategy ----
+
+// maintenance is the strategy every maintenance batch runs under: the
+// resharder's table scan and migrations, the replica fan-outs, and the
+// multi-victim eviction batches (reclaimer rounds and over-budget
+// drains). Production always runs exec.Doorbell. Single evictions on a
+// client's write path run under exec.Serial regardless.
+var maintenance = exec.Doorbell
+
+// SetMaintenanceStrategy makes every maintenance batch run under s until
+// the returned func restores the previous strategy. exec.Serial issues
+// one verb per round trip — the paper-faithful per-key chains that the
+// doorbell rounds are measured against. Results are identical under
+// either strategy; only verb shapes and virtual time differ. It is a
+// process-wide test and comparison hook (the equivalence tests and the
+// bench's serial rows), not safe to call while a simulation runs, and
+// package ditto does not expose it.
+func SetMaintenanceStrategy(s exec.Strategy) (restore func()) {
+	prev := maintenance
+	maintenance = s
+	return func() { maintenance = prev }
+}
+
 // ------------------------------------------------------ Background reclaim ----
 
 // reclaimBatchMax bounds how many victims one reclaimer round attempts
@@ -316,7 +322,7 @@ const reclaimBatchMax = 16
 // EnableBackgroundReclaim starts this cluster's proactive reclaimer: a
 // background sim process that watches the allocator's free-space
 // watermarks (memnode.SetWatermarks) and runs batched eviction plans
-// under ReclaimStrategy AHEAD of demand — it wakes when free space dips
+// as doorbell rounds AHEAD of demand — it wakes when free space dips
 // below the low watermark and reclaims until it is back above the high
 // one, surrendering the freed blocks to the controller pool where any
 // client's allocator can fetch them. Client writes then stall on
@@ -384,7 +390,7 @@ func (cl *Cluster) spawnReclaimer() {
 				if n > reclaimBatchMax {
 					n = reclaimBatchMax
 				}
-				got := rc.evictBatch(n, cl.reclaimStrategy())
+				got := rc.evictBatch(n, maintenance)
 				// Freed blocks land on the reclaimer's own lists; surrender
 				// them immediately so stalled writers can fetch them from
 				// the controller pool.
@@ -428,16 +434,6 @@ func (cl *Cluster) ReclaimerStats() Stats {
 		return Stats{}
 	}
 	return cl.reclaimer.Stats
-}
-
-// reclaimStrategy resolves the strategy eviction batches run under:
-// the pool-level override when this cluster belongs to a MultiCluster,
-// else the cluster's own field.
-func (cl *Cluster) reclaimStrategy() exec.Strategy {
-	if cl.reclaimStratFn != nil {
-		return cl.reclaimStratFn()
-	}
-	return cl.ReclaimStrategy
 }
 
 // kickReclaimer wakes the background reclaimer unconditionally (no-op

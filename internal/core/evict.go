@@ -106,7 +106,7 @@ func (c *Client) drainOverBudget(max int) {
 		if n > max-done {
 			n = max - done
 		}
-		got := c.evictBatch(n, c.cl.reclaimStrategy())
+		got := c.evictBatch(n, maintenance)
 		if got == 0 {
 			return
 		}

@@ -36,7 +36,7 @@ func TestEvictionRacingLiveReshard(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			env := sim.NewEnv(31)
 			mc := NewMultiCluster(env, 2, DefaultOptions(3000, 3000*320))
-			mc.ReclaimStrategy = strat
+			t.Cleanup(SetMaintenanceStrategy(strat))
 			mc.EnableBackgroundReclaim(0, 0)
 			model := make(map[string][]byte)
 			deleted := make(map[string]bool)
@@ -135,8 +135,8 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 				break
 			}
 		}
-		pl := pc.newGetPlan(K)
-		exec.RunSerial(pl)
+		pl := pc.acquireGetPlan(K)
+		pc.runner.Serial.Run(pl)
 		if pl.hit {
 			t.Fatal("primary copy survived forced eviction")
 		}
@@ -156,8 +156,8 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 			t.Errorf("demotions = %d, want %d", mc.Demotions, demBefore+1)
 		}
 		for _, id := range e.Replicas {
-			rpl := m.clientFor(id).newGetPlan(K)
-			exec.RunSerial(rpl)
+			rpl := m.clientFor(id).acquireGetPlan(K)
+			m.runner.Serial.Run(rpl)
 			if rpl.hit {
 				t.Errorf("replica copy on node %d survived the demotion", id)
 			}

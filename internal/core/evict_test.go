@@ -56,8 +56,8 @@ func testEvictStrategiesEquivalent(t *testing.T, experts []string) {
 			st = c.Stats
 			weights = append([]float64(nil), c.Weights()...)
 			for i := 0; i < keys; i++ {
-				pl := c.newGetPlan(key(i)) // stat-silent probe
-				exec.RunSerial(pl)
+				pl := c.acquireGetPlan(key(i)) // stat-silent probe
+				c.runner.Serial.Run(pl)
 				if pl.hit {
 					survivors[string(key(i))] = true
 				}
@@ -178,8 +178,8 @@ func TestEvictWindowSparseTable(t *testing.T) {
 		// The key count must have dropped by exactly the one victim.
 		live := 0
 		for i := 0; i < sparse; i++ {
-			pl := c.newGetPlan(key(i))
-			exec.RunSerial(pl)
+			pl := c.acquireGetPlan(key(i))
+			c.runner.Serial.Run(pl)
 			if pl.hit {
 				live++
 			}
@@ -205,7 +205,7 @@ func TestBackgroundReclaimerKeepsWritesUnstalled(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			env := sim.NewEnv(7)
 			cl := NewCluster(env, DefaultOptions(2000, 2000*320))
-			cl.ReclaimStrategy = strat
+			t.Cleanup(SetMaintenanceStrategy(strat))
 			cl.EnableBackgroundReclaim(0, 0)
 			env.Go("c", func(p *sim.Proc) {
 				c := cl.NewClient(p)

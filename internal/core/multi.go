@@ -62,14 +62,6 @@ type MultiCluster struct {
 	route atomic.Pointer[routeSnapshot]
 	done  *sim.Cond // broadcast when a reshard completes
 
-	// ReshardStrategy selects how the resharder executes its migration
-	// plans: exec.Doorbell (the default) pipelines the table scan and the
-	// per-key migrations as doorbell batches, cutting reshard completion
-	// time; exec.Serial issues one verb per round trip, the paper-faithful
-	// baseline. Results are identical — any migration that hits a race
-	// under Doorbell is demoted to the serial per-slot path.
-	ReshardStrategy exec.Strategy
-
 	// Reshards counts completed membership changes; MigratedKeys counts
 	// objects moved between MNs by resharding; ReshardNs accumulates the
 	// virtual time spent inside reshard windows.
@@ -93,21 +85,6 @@ type MultiCluster struct {
 	// Both are set by EnableHotKeyReplication.
 	HotThreshold  uint64
 	ReplicaFactor int
-
-	// ReplicaStrategy selects how replica fan-out verb plans (copy
-	// materialization, write-through updates, invalidations) execute:
-	// exec.Doorbell (the default) posts the fan-out as one doorbell batch
-	// across the replica endpoints; exec.Serial issues one verb per round
-	// trip. Results are identical — a plan that hits a complication is
-	// demoted to the serial retry path either way.
-	ReplicaStrategy exec.Strategy
-
-	// ReclaimStrategy selects how eviction plan batches execute on every
-	// node — the background reclaimers' rounds and the write paths'
-	// over-budget drains — mirroring ReshardStrategy/ReplicaStrategy:
-	// every node reads it at use time (a per-node override installed by
-	// provision), so assigning it any time takes effect pool-wide.
-	ReclaimStrategy exec.Strategy
 
 	// reclaimLow/reclaimHigh remember EnableBackgroundReclaim's
 	// watermarks so nodes provisioned later (AddNode) get a reclaimer of
@@ -219,13 +196,10 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 		per.MaxCacheBytes = (opts.MaxCacheBytes + n - 1) / n
 	}
 	mc := &MultiCluster{
-		Env:             env,
-		perNode:         per,
-		nodes:           make(map[int]*Cluster),
-		done:            sim.NewCond(env),
-		ReshardStrategy: exec.Doorbell,
-		ReplicaStrategy: exec.Doorbell,
-		ReclaimStrategy: exec.Doorbell,
+		Env:     env,
+		perNode: per,
+		nodes:   make(map[int]*Cluster),
+		done:    sim.NewCond(env),
 	}
 	h := ring.New(0)
 	for i := 0; i < n; i++ {
@@ -238,14 +212,13 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 
 // provision creates one MN and registers it, without touching the routing
 // ring — the caller decides whether the join is immediate (construction)
-// or via a reshard (AddNode). Nodes inherit the pool's reclaim strategy,
-// its background reclaimer (when enabled) and the hot-key eviction hook,
-// so a node added mid-run behaves like its peers.
+// or via a reshard (AddNode). Nodes inherit the pool's background
+// reclaimer (when enabled) and the hot-key eviction hook, so a node added
+// mid-run behaves like its peers.
 func (mc *MultiCluster) provision() int {
 	id := mc.nextID
 	mc.nextID++
 	cl := NewCluster(mc.Env, mc.perNode)
-	cl.reclaimStratFn = func() exec.Strategy { return mc.ReclaimStrategy }
 	if mc.reclaimAll {
 		cl.EnableBackgroundReclaim(mc.reclaimLow, mc.reclaimHigh)
 	}
@@ -268,8 +241,8 @@ func (mc *MultiCluster) provision() int {
 }
 
 // EnableBackgroundReclaim starts a proactive reclaimer on every memory
-// node (see Cluster.EnableBackgroundReclaim), applying the pool's
-// ReclaimStrategy to each; nodes added later by AddNode get one too.
+// node (see Cluster.EnableBackgroundReclaim); nodes added later by
+// AddNode get one too.
 // low/high <= 0 pick the per-node defaults.
 func (mc *MultiCluster) EnableBackgroundReclaim(low, high int) {
 	mc.reclaimAll = true
@@ -626,20 +599,22 @@ const (
 // CAS may mean a straggler write replaced the copy, so another pass must
 // re-visit it).
 //
-// Under exec.Doorbell the walk is pipelined: one doorbell reads
-// reshardScanBuckets buckets, one reads every live object behind them,
-// and the owner-changed keys migrate as lock-step batches of migrate
-// plans — bucket READs, object WRITEs, publishing CASes and source delete
-// CASes each amortize their RTT across the batch. Any plan that hits a
-// race or a full bucket is demoted to the serial per-slot path, so the
-// two strategies produce identical results.
+// In production (exec.Doorbell maintenance) the walk is pipelined: one
+// doorbell reads reshardScanBuckets buckets, one reads every live object
+// behind them, and the owner-changed keys migrate as lock-step batches of
+// migrate plans — bucket READs, object WRITEs, publishing CASes and
+// source delete CASes each amortize their RTT across the batch. Any plan
+// that hits a race or a full bucket is demoted to the serial per-slot
+// path, so the pipelined walk produces the same results as the
+// exec.Serial reference walk (one bucket, one object, one migration at a
+// time).
 func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migratedCopy) int64 {
 	src := m.clientFor(srcID)
 	cl := mc.nodes[srcID]
 	if src == nil || cl == nil {
 		return 0
 	}
-	doorbell := mc.ReshardStrategy == exec.Doorbell
+	doorbell := maintenance == exec.Doorbell
 	step := 1
 	if doorbell {
 		step = reshardScanBuckets
@@ -716,7 +691,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 		}
 		if !doorbell {
 			for _, it := range items {
-				pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, it.kh, inserts)
+				pending += mc.migrateSlot(m, src, it.owner, it.s, it.dec, it.kh, inserts)
 			}
 			continue
 		}
@@ -732,7 +707,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				plans[j] = newMigratePlan(src, m.clientFor(it.owner), it.s, it.dec)
 				run[j] = plans[j]
 			}
-			exec.RunDoorbell(run)
+			m.runner.Doorbell.Run(run)
 			for j, pl := range plans {
 				it := batch[j]
 				switch pl.outcome {
@@ -750,7 +725,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 					// Complication (full bucket, lost CAS, source changed):
 					// demote this slot to the serial retry path, which
 					// re-reads and redoes the copy from a fresh snapshot.
-					pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, it.kh, inserts)
+					pending += mc.migrateSlot(m, src, it.owner, it.s, it.dec, it.kh, inserts)
 				}
 			}
 		}
@@ -763,18 +738,20 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 // operations in flight at the ring switch route to an old owner).
 const migrateSlotRetries = 8
 
-// migrateSlot moves one live object from src to dst with serially-run
-// migrate plans, retrying in place when the source copy is replaced
-// mid-copy so a straggler write cannot be stranded on the old owner.
+// migrateSlot moves one live object from src to node dstID with migrate
+// plans run serially on the resharder's runner, retrying in place when
+// the source copy is replaced mid-copy so a straggler write cannot be
+// stranded on the old owner.
 // Returns 1 when a copy moved (or retries were exhausted under sustained
 // churn — pending work the pass loop revisits), 0 when the key turned out
 // to be gone or already superseded on the destination.
-func (mc *MultiCluster) migrateSlot(src, dst *Client, dstID int, s hashtable.Slot, dec decodedObject,
+func (mc *MultiCluster) migrateSlot(m *MultiClient, src *Client, dstID int, s hashtable.Slot, dec decodedObject,
 	kh uint64, inserts *[]migratedCopy) int64 {
 
+	dst := m.clientFor(dstID)
 	for try := 0; try < migrateSlotRetries; try++ {
 		pl := newMigratePlan(src, dst, s, dec)
-		exec.RunSerial(pl)
+		m.runner.Serial.Run(pl)
 		switch pl.outcome {
 		case migMoved:
 			// Record for the verification sweep only now that the insert
@@ -870,6 +847,9 @@ type MultiClient struct {
 	mc      *MultiCluster
 	p       *sim.Proc
 	clients map[int]*Client
+	runner  exec.Runner // fan-outs spanning nodes: replica stores, migrations
+	fanout  []exec.Plan // replica fan-out scratch
+	repSets []*setPlan  // updateReplicas' plans, parallel to fanout
 	tenant  TenantID    // bound tenant, propagated to every per-node client
 	promo   []promoCand // hot-key promotion candidates queued by the hit hook
 }

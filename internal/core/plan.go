@@ -220,12 +220,6 @@ func (pl *getPlan) reset(c *Client, key []byte) {
 	pl.slot, pl.dec = hashtable.Slot{}, decodedObject{}
 }
 
-func (c *Client) newGetPlan(key []byte) *getPlan {
-	pl := &getPlan{}
-	pl.reset(c, key)
-	return pl
-}
-
 func (pl *getPlan) Step(eager bool) []exec.Verb {
 	for {
 		switch pl.st {
@@ -934,12 +928,6 @@ func (pl *delPlan) reset(c *Client, key []byte) {
 	pl.matchMeta = pl.matchMeta[:0]
 	pl.rnow = c.p.Now()
 	pl.deleted = false
-}
-
-func (c *Client) newDelPlan(key []byte) *delPlan {
-	pl := &delPlan{}
-	pl.reset(c, key)
-	return pl
 }
 
 func (pl *delPlan) Step(eager bool) []exec.Verb {

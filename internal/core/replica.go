@@ -15,8 +15,8 @@ package core
 // primary and its replicas (spreading the RNIC load 1/(1+R)); writes go
 // through the primary first and then update every replica with
 // publish-CAS-ordered verb plans — the same setPlan/delPlan declared in
-// plan.go — executed under MultiCluster.ReplicaStrategy (exec.Serial or
-// exec.Doorbell, identical results).
+// plan.go — executed as one doorbell round per stage across the replica
+// endpoints.
 //
 // Observable equivalence with the unreplicated cache rests on one
 // invariant: AFTER ANY COMPLETED WRITE, EVERY COPY A SPREAD READ CAN
@@ -75,7 +75,6 @@ package core
 import (
 	"fmt"
 
-	"ditto/internal/exec"
 	"ditto/internal/hashtable"
 	"ditto/internal/hotset"
 	"ditto/internal/rdma"
@@ -432,47 +431,46 @@ func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
 }
 
 // updateReplicas stores (key, value) on every replica node of e as a
-// fan-out of ordinary setPlans (plan.go) run under ReplicaStrategy; any
+// fan-out of ordinary setPlans (plan.go) run as doorbell rounds; any
 // plan that hits a complication (full bucket, lost CAS) finishes through
 // the serial retry path, exactly as a client Set would. Replica stores
 // are maintenance: they keep the per-node copies, but do not count as
-// logical Sets in any client's Stats.
+// logical Sets in any client's Stats. The plans come from each replica
+// client's pool and go back once their stores finished.
 func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
-	plans := make([]*setPlan, 0, len(e.Replicas))
-	clients := make([]*Client, 0, len(e.Replicas))
-	run := make([]exec.Plan, 0, len(e.Replicas))
+	plans, run := m.repSets[:0], m.fanout[:0]
 	for _, id := range e.Replicas {
 		c := m.clientFor(id)
 		if c == nil {
 			continue // node left the pool; the stale entry is demoted on next touch
 		}
-		pl := c.newSetPlan(key, value)
+		pl := c.acquireSetPlan(key, value)
 		plans = append(plans, pl)
-		clients = append(clients, c)
 		run = append(run, pl)
 	}
+	m.repSets, m.fanout = plans, run
 	if len(run) == 0 {
 		return nil
 	}
 	// A replica that fail-stops mid-fan-out is skipped: its copies died
 	// with it, and a missing copy is always safe — a spread read that
-	// probe-misses falls back to the primary. (Under Doorbell the batch
-	// has partial semantics: live siblings' verbs applied, the dead
+	// probe-misses falls back to the primary. (A doorbell round has
+	// partial semantics: live siblings' verbs applied, the dead
 	// node's did not; the per-replica finish below drives each survivor
 	// to completion from whatever outcome its plan reached.)
-	_ = rdma.CatchUnreachable(func() { exec.Run(m.mc.ReplicaStrategy, run...) })
+	_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(maintenance, run) })
 	// A store that exhausts its retry budget (ErrNoProgress: a
 	// misconfigured table) is remembered but does not abandon the
 	// remaining replicas mid-store; the caller demotes the entry, so no
 	// partial copy set outlives the error.
 	var firstErr error
 	for i, pl := range plans {
-		c, pl := clients[i], pl
-		if c.cl.dead {
+		plans[i], run[i] = nil, nil
+		if pl.c.cl.dead {
 			continue
 		}
 		var err error
-		if rdma.CatchUnreachable(func() { err = m.finishReplicaStore(c, key, value, pl) }) != nil {
+		if rdma.CatchUnreachable(func() { err = m.finishReplicaStore(key, value, pl) }) != nil {
 			continue // this replica fail-stopped mid-store; skip it
 		}
 		if err != nil && firstErr == nil {
@@ -485,13 +483,16 @@ func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
 // finishReplicaStore drives one replica's store to completion from
 // whatever outcome the fan-out attempt reached, mirroring Client.Set's
 // retry loop (evict on full buckets, fresh snapshot on a lost CAS)
-// without its stats accounting. A store that exhausts its retry budget
-// returns an ErrNoProgress-wrapped error (a misconfigured table) rather
-// than completing partially.
-func (m *MultiClient) finishReplicaStore(c *Client, key, value []byte, pl *setPlan) error {
+// without its stats accounting, and returns the plan to its client's
+// pool. A store that exhausts its retry budget returns an
+// ErrNoProgress-wrapped error (a misconfigured table) rather than
+// completing partially.
+func (m *MultiClient) finishReplicaStore(key, value []byte, pl *setPlan) error {
+	c := pl.c
 	for attempt := 0; ; attempt++ {
 		switch pl.outcome {
 		case setDone:
+			c.releaseSetPlan(pl)
 			return nil
 		case setNoFree:
 			if !c.bucketEvict(pl.scanned) {
@@ -501,11 +502,12 @@ func (m *MultiClient) finishReplicaStore(c *Client, key, value []byte, pl *setPl
 			// Lost a race (concurrent writer or this fan-out's own
 			// evictions): retry with a fresh snapshot.
 		}
+		c.releaseSetPlan(pl)
 		if attempt > 4096 {
 			return fmt.Errorf("%w: replica store stalled (table misconfigured?)", ErrNoProgress)
 		}
-		pl = c.newSetPlan(key, value)
-		exec.RunSerial(pl)
+		pl = c.acquireSetPlan(key, value)
+		m.runner.Serial.Run(pl)
 	}
 }
 
@@ -521,13 +523,14 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 	var hit bool
 	if rdma.CatchUnreachable(func() {
 		for attempt := 0; attempt < getRetries; attempt++ {
-			pl := c.newGetPlan(key)
-			exec.RunSerial(pl)
+			pl := c.acquireGetPlan(key)
+			m.runner.Serial.Run(pl)
 			if pl.hit {
 				val, hit = append([]byte(nil), pl.dec.value...), true
-				return
 			}
-			if !pl.stale {
+			stale := pl.stale
+			c.releaseGetPlan(pl)
+			if hit || !stale {
 				return
 			}
 		}
@@ -541,24 +544,31 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 }
 
 // invalidateReplicas deletes every replica copy of e — a fan-out of
-// delPlans (plan.go) under ReplicaStrategy. delPlans have no fallback
+// delPlans (plan.go) run as doorbell rounds. delPlans have no fallback
 // edges (a lost delete CAS means someone else already removed or
 // replaced that copy), so one pass suffices. Replica nodes that left the
 // pool are skipped: their copies left with them.
 func (m *MultiClient) invalidateReplicas(e *hotset.Entry) {
-	run := make([]exec.Plan, 0, len(e.Replicas))
+	run := m.fanout[:0]
 	for _, id := range e.Replicas {
 		if c := m.clientFor(id); c != nil {
-			run = append(run, c.newDelPlan(e.Key))
+			run = append(run, c.acquireDelPlan(e.Key))
 		}
 	}
-	if len(run) > 0 {
-		// A replica that fail-stops mid-invalidation needs none: its
-		// copies died with it, which is exactly the post-state an
-		// invalidation establishes. Live siblings' deletes still apply
-		// (partial doorbell semantics), so the invariant — no spreadable
-		// copy holds a superseded value — survives the crash.
-		_ = rdma.CatchUnreachable(func() { exec.Run(m.mc.ReplicaStrategy, run...) })
+	m.fanout = run
+	if len(run) == 0 {
+		return
+	}
+	// A replica that fail-stops mid-invalidation needs none: its copies
+	// died with it, which is exactly the post-state an invalidation
+	// establishes. Live siblings' deletes still apply (partial doorbell
+	// semantics), so the invariant — no spreadable copy holds a
+	// superseded value — survives the crash.
+	_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(maintenance, run) })
+	for i, pl := range run {
+		dp := pl.(*delPlan)
+		dp.c.releaseDelPlan(dp)
+		run[i] = nil
 	}
 }
 

@@ -119,8 +119,8 @@ func TestQuotaVictimChoiceStrategyEquivalent(t *testing.T) {
 			st = noisy.Stats
 			usage = [2]int64{cl.TenantUsage(1), cl.TenantUsage(2)}
 			probe := func(k []byte) {
-				pl := noisy.newGetPlan(k)
-				exec.RunSerial(pl)
+				pl := noisy.acquireGetPlan(k)
+				noisy.runner.Serial.Run(pl)
 				if pl.hit {
 					survivors[string(k)] = true
 				}

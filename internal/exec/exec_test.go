@@ -31,7 +31,8 @@ func (p *scriptPlan) Step(eager bool) []Verb {
 	return g
 }
 
-func (p *scriptPlan) Absorb(res []Result) { p.got = append(p.got, res) }
+// Absorb copies the group: a Runner recycles the slice after the call.
+func (p *scriptPlan) Absorb(res []Result) { p.got = append(p.got, append([]Result(nil), res...)) }
 
 func testNode(env *sim.Env) *rdma.Node {
 	return rdma.NewNode(env, 1<<16, rdma.DefaultConfig())
@@ -60,7 +61,8 @@ func TestSerialRunsPlanToCompletion(t *testing.T) {
 			{write(ep, 0, []byte("hello"))},
 			{read(ep, 0, 5), read(ep, 0, 2)},
 		}}
-		RunSerial(pl)
+		var r SerialRunner
+		r.Run(pl)
 		if len(pl.got) != 2 {
 			t.Fatalf("absorbed %d groups, want 2", len(pl.got))
 		}
@@ -94,7 +96,8 @@ func TestDoorbellOneBatchPerRound(t *testing.T) {
 				{read(ep, addr, 1)},
 			}})
 		}
-		RunDoorbell(plans)
+		var r DoorbellRunner
+		r.Run(plans)
 		if n.Stats.DoorbellBatches != 2 {
 			t.Fatalf("posted %d doorbells, want 2 (one per round)", n.Stats.DoorbellBatches)
 		}
@@ -123,7 +126,8 @@ func TestDoorbellDedupsIdenticalReads(t *testing.T) {
 		copy(n.Mem()[0:], "shared!!")
 		a := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 0, 8)}}}
 		b := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 0, 8), read(ep, 8, 8)}}}
-		RunDoorbell([]Plan{a, b})
+		var r DoorbellRunner
+		r.Run([]Plan{a, b})
 		if n.Stats.Reads != 2 {
 			t.Fatalf("issued %d READs, want 2 (shared read deduped)", n.Stats.Reads)
 		}
@@ -147,7 +151,8 @@ func TestDoorbellMultiEndpoint(t *testing.T) {
 		pl := &scriptPlan{stopAt: -1, groups: [][]Verb{
 			{read(ep1, 0, 3), read(ep2, 0, 3)},
 		}}
-		RunDoorbell([]Plan{pl})
+		var r DoorbellRunner
+		r.Run([]Plan{pl})
 		if !bytes.Equal(pl.got[0][0].Data, []byte("one")) || !bytes.Equal(pl.got[0][1].Data, []byte("two")) {
 			t.Fatalf("cross-node results misrouted: %q %q", pl.got[0][0].Data, pl.got[0][1].Data)
 		}
@@ -167,7 +172,8 @@ func TestDoorbellPlanOrderPreserved(t *testing.T) {
 		ep := rdma.NewEndpoint(n, p)
 		a := &scriptPlan{stopAt: -1, groups: [][]Verb{{cas(ep, 0, 0, 11)}}}
 		b := &scriptPlan{stopAt: -1, groups: [][]Verb{{cas(ep, 0, 0, 22)}}}
-		RunDoorbell([]Plan{a, b})
+		var r DoorbellRunner
+		r.Run([]Plan{a, b})
 		if !a.got[0][0].Swapped {
 			t.Fatal("first plan's CAS lost")
 		}
@@ -191,7 +197,8 @@ func TestShortCircuitSkipsRemainingStages(t *testing.T) {
 				{read(ep, 0, 4)},
 				{read(ep, 8, 4)}, // must never be issued
 			}}
-			Run(s, pl)
+			var r Runner
+			r.RunPlans(s, []Plan{pl})
 			if len(pl.got) != 1 || n.Stats.Reads != 1 {
 				t.Fatalf("%v: absorbed %d groups with %d READs, want 1/1",
 					s, len(pl.got), n.Stats.Reads)
@@ -203,16 +210,171 @@ func TestShortCircuitSkipsRemainingStages(t *testing.T) {
 
 // TestRunEmpty covers degenerate inputs.
 func TestRunEmpty(t *testing.T) {
-	RunDoorbell(nil)
-	Run(Serial)
+	var r Runner
+	r.RunPlans(Doorbell, nil)
+	r.RunPlans(Serial, nil)
 	env := sim.NewEnv(7)
 	n := testNode(env)
 	env.Go("c", func(p *sim.Proc) {
 		pl := &scriptPlan{stopAt: -1} // no groups at all
-		Run(Doorbell, pl)
-		RunSerial(pl)
+		r.RunPlans(Doorbell, []Plan{pl})
+		r.RunPlans(Serial, []Plan{pl})
 		if n.Stats.Total() != 0 {
 			t.Fatal("empty plans issued verbs")
+		}
+	})
+	env.Run()
+}
+
+// recPlan CASes its word from 0 to id, then reads the word back into a
+// caller-owned buffer, keeping every completion in fixed fields — an
+// allocation-free plan, so runs of it can be alloc-counted.
+type recPlan struct {
+	ep      *rdma.Endpoint
+	addr    uint64
+	id      uint64
+	buf     []byte
+	verb    [1]Verb
+	st      int
+	old     uint64
+	swapped bool
+	data    []byte
+}
+
+func newRecPlan(ep *rdma.Endpoint, addr, id uint64) *recPlan {
+	return &recPlan{ep: ep, addr: addr, id: id, buf: make([]byte, 8)}
+}
+
+func (p *recPlan) Step(bool) []Verb {
+	switch p.st {
+	case 0:
+		p.verb[0] = cas(p.ep, p.addr, 0, p.id)
+	case 1:
+		p.verb[0] = Verb{EP: p.ep, Op: rdma.BatchOp{Kind: rdma.BatchRead, Addr: p.addr, Len: 8, Buf: p.buf}}
+	default:
+		return nil
+	}
+	return p.verb[:]
+}
+
+func (p *recPlan) Absorb(res []Result) {
+	if p.st == 0 {
+		p.old, p.swapped = res[0].Old, res[0].Swapped
+	} else {
+		p.data = res[0].Data
+	}
+	p.st++
+}
+
+// nestPlan issues one READ and, from inside its Absorb, runs inner on
+// the same runner — the shape of a batched Set whose absorb falls into
+// doorbell-strategy eviction.
+type nestPlan struct {
+	r     *DoorbellRunner
+	verb  [1]Verb
+	inner []Plan
+	done  bool
+}
+
+func (p *nestPlan) Step(bool) []Verb {
+	if p.done {
+		return nil
+	}
+	return p.verb[:]
+}
+
+func (p *nestPlan) Absorb([]Result) {
+	p.done = true
+	p.r.Run(p.inner)
+}
+
+// reentrantFixture builds, on a fresh node, four recPlans — two racing
+// for one word, so the round exercises read dedup and plan-order CAS —
+// and an outer nestPlan wrapping them.
+func reentrantFixture(p *sim.Proc, n *rdma.Node, r *DoorbellRunner) ([]*recPlan, *nestPlan) {
+	ep := rdma.NewEndpoint(n, p)
+	recs := []*recPlan{
+		newRecPlan(ep, 0, 1), newRecPlan(ep, 0, 2),
+		newRecPlan(ep, 8, 3), newRecPlan(ep, 16, 4),
+	}
+	outer := &nestPlan{r: r}
+	outer.verb[0] = Verb{EP: ep, Op: rdma.BatchOp{Kind: rdma.BatchRead, Addr: 64, Len: 8, Buf: make([]byte, 8)}}
+	for _, rp := range recs {
+		outer.inner = append(outer.inner, rp)
+	}
+	return recs, outer
+}
+
+// TestDoorbellReentrantRunMatchesFlat checks that a doorbell run started
+// from inside an Absorb on the same runner — served by the nested
+// runner — produces exactly the completions the same plans get from an
+// un-nested run, and leaves the outer run intact.
+func TestDoorbellReentrantRunMatchesFlat(t *testing.T) {
+	type outcome struct {
+		old     uint64
+		swapped bool
+		data    string
+	}
+	run := func(nested bool) []outcome {
+		env := sim.NewEnv(8)
+		n := testNode(env)
+		var out []outcome
+		env.Go("c", func(p *sim.Proc) {
+			var r DoorbellRunner
+			recs, outer := reentrantFixture(p, n, &r)
+			if nested {
+				r.Run([]Plan{outer})
+				if !outer.done || r.nested == nil {
+					t.Fatal("outer plan did not run the inner plans on a nested runner")
+				}
+			} else {
+				r.Run(outer.inner)
+			}
+			for _, rp := range recs {
+				out = append(out, outcome{rp.old, rp.swapped, string(rp.data)})
+			}
+		})
+		env.Run()
+		return out
+	}
+	flat, nested := run(false), run(true)
+	if len(flat) != 4 || len(nested) != 4 {
+		t.Fatalf("plans finished: flat %d, nested %d, want 4", len(flat), len(nested))
+	}
+	for i := range flat {
+		if flat[i] != nested[i] {
+			t.Errorf("plan %d: nested %+v, flat %+v", i, nested[i], flat[i])
+		}
+	}
+	if !flat[0].swapped || flat[1].swapped || flat[1].old != 1 {
+		t.Errorf("same-word CASes: %+v %+v, want first to win and second to observe it", flat[0], flat[1])
+	}
+}
+
+// TestDoorbellRunnerReusableAfterUnreachable checks that a round raising
+// rdma's NodeUnreachableError (a replica fan-out reaching a fail-stopped
+// node) leaves the runner usable: the next run on the same runner is a
+// top-level run with correct results, not a nested one.
+func TestDoorbellRunnerReusableAfterUnreachable(t *testing.T) {
+	env := sim.NewEnv(10)
+	live, dead := testNode(env), testNode(env)
+	env.Go("c", func(p *sim.Proc) {
+		epL, epD := rdma.NewEndpoint(live, p), rdma.NewEndpoint(dead, p)
+		copy(live.Mem()[0:], "live")
+		dead.Fail()
+		var r DoorbellRunner
+		failed := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(epL, 0, 4), read(epD, 0, 4)}}}
+		err := rdma.CatchUnreachable(func() { r.Run([]Plan{failed}) })
+		if !rdma.IsUnreachable(err) {
+			t.Fatalf("round over a failed node: err = %v, want unreachable", err)
+		}
+		pl := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(epL, 0, 4)}}}
+		r.Run([]Plan{pl})
+		if r.nested != nil {
+			t.Fatal("run after the failed round went to the nested runner")
+		}
+		if len(pl.got) != 1 || !bytes.Equal(pl.got[0][0].Data, []byte("live")) {
+			t.Fatalf("run after the failed round absorbed %v", pl.got)
 		}
 	})
 	env.Run()

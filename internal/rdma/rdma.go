@@ -30,9 +30,9 @@ import (
 
 // Config holds the fabric's timing model. The defaults are calibrated so
 // that the reproduction exhibits the paper's resource-saturation shapes
-// (see DESIGN.md §2): a ~2 µs RTT and an RNIC message rate in the tens of
-// millions of messages per second, against MN CPU cores that serve roughly
-// half a million RPCs per second each.
+// (see docs/ARCHITECTURE.md, "The substrate"): a ~2 µs RTT and an RNIC
+// message rate in the tens of millions of messages per second, against
+// MN CPU cores that serve roughly half a million RPCs per second each.
 type Config struct {
 	// RTT is the network round-trip time charged to every synchronous verb.
 	RTT int64
@@ -415,9 +415,9 @@ type EndpointBatch struct {
 	EP  *Endpoint
 	Ops []BatchOp
 
-	// Res receives the completions when the round is posted with
-	// PostMultiInPlace: resized (reusing capacity) to len(Ops), or set
-	// nil for a batch whose node was down. PostMulti ignores it.
+	// Res receives the completions: PostMulti resizes it (reusing its
+	// capacity) to len(Ops), or sets it nil for a batch whose node was
+	// down.
 	Res []BatchResult
 }
 
@@ -426,26 +426,10 @@ type EndpointBatch struct {
 // different nodes are independent, so all verbs are issued up front and
 // the caller sleeps once, until the latest completion (per-node RTTs may
 // differ). Effects apply in posting order, batches in entry order. Every
-// endpoint must belong to the same process — the caller's.
-func PostMulti(batches []EndpointBatch) [][]BatchResult {
-	out := make([][]BatchResult, len(batches))
-	postMulti(batches, out)
-	return out
-}
-
-// PostMultiInPlace is PostMulti writing completions into each entry's Res
-// slice (reusing its capacity) instead of allocating a fresh result set —
-// the form the pooled doorbell runner uses so a steady-state round
-// allocates nothing. Timing, ordering, and failure semantics are
-// identical to PostMulti.
-func PostMultiInPlace(batches []EndpointBatch) {
-	postMulti(batches, nil)
-}
-
-// postMulti issues, sleeps, and applies one multi-endpoint round. When
-// out is non-nil the bi-th batch's completions go to freshly allocated
-// out[bi]; otherwise they go to batches[bi].Res, resized in place.
-func postMulti(batches []EndpointBatch, out [][]BatchResult) {
+// endpoint must belong to the same process — the caller's. Completions
+// land in each entry's Res, so a caller that keeps its batches across
+// rounds (the pooled doorbell runner) allocates nothing per round.
+func PostMulti(batches []EndpointBatch) {
 	var p *sim.Proc
 	var last int64
 	var downNode *Node
@@ -486,27 +470,17 @@ func postMulti(batches []EndpointBatch, out [][]BatchResult) {
 			// batch's effects apply. Live siblings still complete —
 			// callers must treat a failed fan-out as partially applied.
 			downNode = n
-			if out != nil {
-				out[bi] = nil
-			} else {
-				b.Res = nil
-			}
+			b.Res = nil
 			continue
 		}
-		var res []BatchResult
-		if out != nil {
-			res = make([]BatchResult, len(b.Ops))
-			out[bi] = res
+		if cap(b.Res) < len(b.Ops) {
+			b.Res = make([]BatchResult, len(b.Ops))
 		} else {
-			if cap(b.Res) < len(b.Ops) {
-				b.Res = make([]BatchResult, len(b.Ops))
-			} else {
-				b.Res = b.Res[:len(b.Ops)]
-			}
-			res = b.Res
-			for i := range res {
-				res[i] = BatchResult{}
-			}
+			b.Res = b.Res[:len(b.Ops)]
+		}
+		res := b.Res
+		for i := range res {
+			res[i] = BatchResult{}
 		}
 		for i := range b.Ops {
 			n.applyOp(&b.Ops[i], &res[i])

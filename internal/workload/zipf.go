@@ -2,8 +2,9 @@
 // evaluation: YCSB core workloads A–D with scrambled-Zipfian keys
 // (θ = 0.99), and a family of synthetic traces reproducing the recency/
 // frequency regimes of the real-world trace suites (FIU webmail, Twitter
-// compute/storage/transient, IBM object store, CloudPhysics) — see Table 2
-// and DESIGN.md §2 for the substitution rationale.
+// compute/storage/transient, IBM object store, CloudPhysics) — see Table 2.
+// The real traces are not redistributable, so the synthetic stand-ins
+// substitute for them by default (tracefile.go loads the real ones).
 package workload
 
 import (
