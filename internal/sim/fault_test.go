@@ -192,7 +192,7 @@ func TestFaultScheduleFiresAtTime(t *testing.T) {
 }
 
 // TestKillRunningCountProperty: after killing k of n sleepers, Run exits
-// (running-count bookkeeping stays balanced).
+// (the killed sleepers' pending wake-ups are skipped, not resumed).
 func TestKillRunningCountProperty(t *testing.T) {
 	env := NewEnv(1)
 	var procs []*Proc

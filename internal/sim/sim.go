@@ -4,19 +4,22 @@
 // Ditto's evaluation depends on counting round trips and on which shared
 // resource (the memory-node RNIC's message rate, or the memory-node CPU)
 // saturates first. This package provides the substrate used to model that
-// behaviour without RDMA hardware: goroutine-backed processes advance a
-// shared virtual clock one event at a time, and Resource models k-server
-// FIFO queueing in virtual time.
+// behaviour without RDMA hardware: processes advance a shared virtual clock
+// one event at a time, and Resource models k-server FIFO queueing in
+// virtual time.
 //
-// Exactly one process runs at any instant; processes hand control back to
-// the scheduler whenever they sleep, wait, or finish. Interleaving therefore
-// happens at event boundaries, which is precisely the granularity at which
-// remote verbs (READ/WRITE/CAS/FAA) interleave on real disaggregated
-// memory. The model is fully deterministic for a fixed seed.
+// Each process is a stdlib coroutine (iter.Pull). Env.Run pops the next
+// event and resumes its process; the process runs until it sleeps, waits,
+// or finishes, and each of those is one direct coroutine switch back to
+// Run. Exactly one process runs at any instant, so interleaving happens at
+// event boundaries, which is precisely the granularity at which remote
+// verbs (READ/WRITE/CAS/FAA) interleave on real disaggregated memory. The
+// model is fully deterministic for a fixed seed.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -104,8 +107,6 @@ type Env struct {
 	now     int64
 	seq     uint64
 	events  eventHeap
-	sched   chan struct{} // processes signal the scheduler here after yielding
-	running int           // live (started, unfinished) processes
 	nextID  int
 	seed    int64
 	stopped bool
@@ -116,19 +117,16 @@ type Env struct {
 // NewEnv returns an environment at virtual time zero. The seed determines
 // every random choice made by processes that use their per-process RNG.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		sched: make(chan struct{}),
-		seed:  seed,
-	}
+	return &Env{seed: seed}
 }
 
 // Now returns the current virtual time in nanoseconds.
 func (e *Env) Now() int64 { return e.now }
 
 // Stop makes Run return after the currently running process yields.
-// Remaining events are discarded. Processes blocked in Sleep or Wait never
-// resume; their goroutines are abandoned (acceptable for one-shot
-// experiment runs, which always terminate the whole environment).
+// Pending events are kept: a later Run resumes the timeline where it
+// stopped, waking every process blocked in Sleep or Wait in order. If Run
+// is never called again, those processes are simply never resumed.
 func (e *Env) Stop() { e.stopped = true }
 
 func (e *Env) push(t int64, p *Proc) {
@@ -137,12 +135,13 @@ func (e *Env) push(t int64, p *Proc) {
 }
 
 // Proc is a process executing in virtual time. A Proc must only be used
-// from its own goroutine (the function passed to Go) — except for the
+// from its own body (the function passed to Go) — except for the
 // crash API (Env.Kill, Killed, OnCrash-registered state), which other
 // processes use to model fail-stop node and process failures.
 type Proc struct {
 	env     *Env
-	resume  chan struct{}
+	next    func() (struct{}, bool) // resumes the coroutine; false once it has finished
+	yieldFn func(struct{}) bool     // switches from the coroutine back to Run
 	id      int
 	name    string
 	rng     *rand.Rand
@@ -191,32 +190,26 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // GoAt registers fn as a new process that starts at virtual time t (which
-// must be >= Now).
+// must be >= Now). The process body runs as a coroutine resumed by Run.
 func (e *Env) GoAt(t int64, name string, fn func(p *Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: GoAt(%d) in the past (now=%d)", t, e.now))
 	}
 	p := &Proc{
-		env:    e,
-		resume: make(chan struct{}),
-		id:     e.nextID,
-		name:   name,
-		rng:    rand.New(rand.NewSource(e.seed ^ int64(uint64(e.nextID+1)*0x9e3779b97f4a7c15>>1))),
+		env:  e,
+		id:   e.nextID,
+		name: name,
+		rng:  rand.New(rand.NewSource(e.seed ^ int64(uint64(e.nextID+1)*0x9e3779b97f4a7c15>>1))),
 	}
 	e.nextID++
-	e.running++
 	e.procs = append(e.procs, p)
-	go func() {
-		// The final yield is deferred so the scheduler survives a process
-		// that exits via runtime.Goexit (e.g. t.Fatal inside a test body).
-		defer func() {
-			p.done = true
-			e.running--
-			e.sched <- struct{}{}
-		}()
-		<-p.resume // wait for the scheduler to start us
+	// The stop function is unused: a process runs to its end, or is
+	// abandoned where it blocked (killed, or pending when Run is not
+	// called again).
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
 		fn(p)
-	}()
+	})
 	e.push(t, p)
 	return p
 }
@@ -225,19 +218,30 @@ func (e *Env) GoAt(t int64, name string, fn func(p *Proc)) *Proc {
 // called from the goroutine that owns the Env (typically the test or
 // benchmark body). Run may be called repeatedly; later Go calls followed by
 // Run continue the same timeline.
+//
+// Processes run on Run's behalf, so their failures are Run's: a panic
+// inside a process is re-raised from Run to its caller, and a
+// runtime.Goexit inside a process (t.Fatal, for instance) ends the
+// goroutine that called Run. Either way the Env is left mid-event and
+// must not be used again.
 func (e *Env) Run() {
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.events.pop()
-		if ev.p.done {
+		p := ev.p
+		if p.done {
 			continue // stale wake-up for a finished process
 		}
 		if ev.t < e.now {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.t
-		e.cur = ev.p
-		ev.p.resume <- struct{}{}
-		<-e.sched
+		e.cur = p
+		if _, ok := p.next(); !ok {
+			// Finished. Env.procs keeps p for FindProc, so drop the
+			// coroutine closures: they hold everything the body captured.
+			p.done = true
+			p.next, p.yieldFn = nil, nil
+		}
 		e.cur = nil
 	}
 	e.stopped = false
@@ -246,8 +250,8 @@ func (e *Env) Run() {
 // Kill removes process p from the simulation immediately: a fail-stop
 // crash at the current virtual time. p never runs again — its pending
 // wake-ups are discarded, condition variables that would wake it skip it,
-// and its goroutine is abandoned exactly as Stop abandons blocked
-// processes (acceptable for one-shot experiment runs). p's OnCrash hooks
+// and its coroutine is never resumed, so it stays abandoned where it
+// blocked (acceptable for one-shot experiment runs). p's OnCrash hooks
 // run LIFO in the caller's scheduling slice before Kill returns, so
 // supervisors can respawn replacements with a consistent view of the
 // crash instant. Killing a finished or already-killed process is a no-op;
@@ -262,7 +266,6 @@ func (e *Env) Kill(p *Proc) bool {
 	}
 	p.done = true
 	p.killed = true
-	e.running--
 	for i := len(p.onCrash) - 1; i >= 0; i-- {
 		p.onCrash[i]()
 	}
@@ -283,11 +286,8 @@ func (e *Env) FindProc(name string) *Proc {
 	return nil
 }
 
-// yield returns control to the scheduler and blocks until resumed.
-func (p *Proc) yield() {
-	p.env.sched <- struct{}{}
-	<-p.resume
-}
+// yield switches back to Run and returns when Run next resumes p.
+func (p *Proc) yield() { p.yieldFn(struct{}{}) }
 
 // Sleep advances the process's virtual time by d nanoseconds. d < 0 is
 // treated as 0 (a pure yield that lets same-time events interleave).

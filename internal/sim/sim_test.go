@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"weak"
 )
 
 func TestSleepAdvancesTime(t *testing.T) {
@@ -123,6 +125,112 @@ func TestStopHaltsRun(t *testing.T) {
 	env.Run()
 	if n != 5 {
 		t.Fatalf("n = %d, want 5", n)
+	}
+}
+
+// TestRunAfterStopResumes: Stop keeps the pending events, so a second Run
+// picks the timeline up where the first one stopped.
+func TestRunAfterStopResumes(t *testing.T) {
+	env := NewEnv(1)
+	var steps []int64
+	env.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(10)
+			steps = append(steps, p.Now())
+		}
+	})
+	env.Go("stopper", func(p *Proc) {
+		p.Sleep(25)
+		env.Stop()
+	})
+	env.Run()
+	if env.Now() != 25 || len(steps) != 2 {
+		t.Fatalf("after Stop: now=%d steps=%v, want now=25 and 2 steps", env.Now(), steps)
+	}
+	env.Run()
+	want := []int64{10, 20, 30, 40, 50}
+	if env.Now() != 50 || len(steps) != len(want) {
+		t.Fatalf("after second Run: now=%d steps=%v, want now=50 steps=%v", env.Now(), steps, want)
+	}
+	for i := range want {
+		if steps[i] != want[i] {
+			t.Fatalf("steps = %v, want %v", steps, want)
+		}
+	}
+}
+
+// TestProcPanicPropagatesFromRun: a panic inside a process surfaces from
+// Run in the caller's goroutine, with its original value.
+func TestProcPanicPropagatesFromRun(t *testing.T) {
+	env := NewEnv(1)
+	env.Go("bomb", func(p *Proc) {
+		p.Sleep(3)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v from Run, want boom", r)
+		}
+		if env.Now() != 3 {
+			t.Fatalf("panic surfaced at t=%d, want 3", env.Now())
+		}
+	}()
+	env.Run()
+	t.Fatal("Run returned normally after a process panicked")
+}
+
+// TestProcGoexitEndsRunCaller: a runtime.Goexit inside a process (what
+// t.Fatal does) ends the goroutine that called Run; no later event runs.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	returned := make(chan bool)
+	laterRan := false
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		env := NewEnv(1)
+		env.Go("quitter", func(p *Proc) {
+			p.Sleep(1)
+			runtime.Goexit()
+		})
+		env.Go("later", func(p *Proc) {
+			p.Sleep(5)
+			laterRan = true
+		})
+		env.Run()
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned normally after a process called runtime.Goexit")
+	}
+	if laterRan {
+		t.Fatal("a process ran after another one called runtime.Goexit")
+	}
+}
+
+// spawnHolder starts a process whose body captures a fresh object and
+// returns a weak pointer to that object.
+func spawnHolder(env *Env) weak.Pointer[[64]byte] {
+	obj := new([64]byte)
+	env.Go("holder", func(p *Proc) {
+		p.Sleep(1)
+		obj[0]++
+	})
+	return weak.Make(obj)
+}
+
+// TestFinishedProcIsCollectable: Env keeps every Proc for FindProc, so a
+// finished process must not keep its body's captured state reachable.
+func TestFinishedProcIsCollectable(t *testing.T) {
+	env := NewEnv(1)
+	wp := spawnHolder(env)
+	env.Run()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a finished process's captured state survived GC")
+	}
+	// env is still live through the GC above, and so is every Proc it tracks.
+	if len(env.procs) != 1 {
+		t.Fatalf("env tracks %d procs, want 1", len(env.procs))
 	}
 }
 
@@ -323,4 +431,21 @@ func TestTimeMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkSwitch measures one process switch: two processes ping-pong
+// on Sleep(1), so every op is one resume by Run and one yield back.
+func BenchmarkSwitch(b *testing.B) {
+	env := NewEnv(1)
+	for i := 0; i < 2; i++ {
+		n := (b.N + 1 - i) / 2 // the two halves sum to b.N
+		env.Go("pingpong", func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
 }
