@@ -108,7 +108,11 @@ func Algorithms() []string { return cachealgo.Names() }
 // linearizable — under a per-key lock, a write first invalidates the
 // replica copies, then publishes on the primary, then re-materializes
 // them, so a spreadable replica only ever holds the current value or
-// nothing. Call it before creating clients.
+// nothing. Once the directory of replicated keys is full, a new key
+// displaces the least-recently-read one only if a TinyLFU frequency
+// sketch ranks it strictly hotter; the sketch halves its counters
+// every 16 × maxHotKeys × threshold hits, so it follows the current
+// hot set with no further parameter. Call it before creating clients.
 type MultiCluster = core.MultiCluster
 
 // MultiClient routes operations to the memory node owning each key and

@@ -246,8 +246,8 @@ func TestHotspotReplicationSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scenario")
 	}
-	unrep := runHotspot(1.6, false, false, 2048, 48, 1500, 0)
-	rep := runHotspot(1.6, true, false, 2048, 48, 1500, 0)
+	unrep := runHotspot(1.6, 0, false, 2048, 48, 1500, 0)
+	rep := runHotspot(1.6, hotspotMaxHotKeys, false, 2048, 48, 1500, 0)
 	if sp := rep.res.Mops() / unrep.res.Mops(); sp < 2 {
 		t.Fatalf("replication speedup = %.2fx, want >= 2x (unrep %.3f Mops, rep %.3f Mops)",
 			sp, unrep.res.Mops(), rep.res.Mops())
@@ -264,8 +264,8 @@ func TestHotspotReplicationSpeedup(t *testing.T) {
 	// The write-mix shape: every hot write suspends its key's spreading
 	// for the write's span, so the speedup shrinks but must remain a
 	// clear win over unreplicated routing.
-	unrepW := runHotspot(1.6, false, false, 2048, 48, 1500, 20)
-	repW := runHotspot(1.6, true, false, 2048, 48, 1500, 20)
+	unrepW := runHotspot(1.6, 0, false, 2048, 48, 1500, 20)
+	repW := runHotspot(1.6, hotspotMaxHotKeys, false, 2048, 48, 1500, 20)
 	if sp := repW.res.Mops() / unrepW.res.Mops(); sp < 1.3 {
 		t.Fatalf("mixed-write replication speedup = %.2fx, want >= 1.3x", sp)
 	}
@@ -275,7 +275,7 @@ func TestHotspotReplicationSpeedup(t *testing.T) {
 	// Speculation composes with spreading: hints record per node, so with
 	// the location cache on the replicated heavy tail must go mostly
 	// one-RTT while keeping the imbalance collapsed.
-	repS := runHotspot(1.6, true, true, 2048, 48, 1500, 0)
+	repS := runHotspot(1.6, hotspotMaxHotKeys, true, 2048, 48, 1500, 0)
 	if repS.spec < 0.5 {
 		t.Fatalf("replicated spec hit rate = %.3f, want >= 0.5", repS.spec)
 	}

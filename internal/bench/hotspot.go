@@ -14,17 +14,20 @@ import (
 // hotspotRow is one measured configuration of the hotspot scenario, as
 // serialized into BENCH_hotspot.json.
 type hotspotRow struct {
-	Theta       float64 `json:"theta"`
-	Workload    string  `json:"workload"`  // "read-only" | "mixed-5pct-writes"
-	Mode        string  `json:"mode"`      // "unreplicated" | "replicated"
-	LocCache    bool    `json:"loc_cache"` // client-side location cache on?
-	Mops        float64 `json:"mops"`
-	Speedup     float64 `json:"speedup_vs_unreplicated"`
-	HitRate     float64 `json:"hit_rate"`
-	Imbalance   float64 `json:"read_imbalance"` // max node share / mean share (1.0 = even)
-	Promotions  int64   `json:"promotions"`
-	Demotions   int64   `json:"demotions"`
-	SpreadReads int64   `json:"spread_reads"`
+	Theta      float64 `json:"theta"`
+	Workload   string  `json:"workload"`  // "read-only" | "mixed-5pct-writes"
+	Mode       string  `json:"mode"`      // "unreplicated" | "replicated" | "replicated-32-entries"
+	LocCache   bool    `json:"loc_cache"` // client-side location cache on?
+	Mops       float64 `json:"mops"`
+	Speedup    float64 `json:"speedup_vs_unreplicated"`
+	HitRate    float64 `json:"hit_rate"`
+	Imbalance  float64 `json:"read_imbalance"` // max node share / mean share (1.0 = even)
+	Promotions int64   `json:"promotions"`
+	Demotions  int64   `json:"demotions"`
+	// AdmissionRejects counts promotion candidates the full directory
+	// turned away (MultiCluster.AdmissionRejects).
+	AdmissionRejects int64 `json:"admission_rejects"`
+	SpreadReads      int64 `json:"spread_reads"`
 
 	// Speculative-Get effectiveness over the measured phase: the fraction
 	// of Gets served by one validated hinted READ, and the mean READ verbs
@@ -60,6 +63,12 @@ type hotspotRow struct {
 // under saturation those spans stretch, so the speedup shrinks. That
 // shape is the point: replication pays on read-dominated hot keys,
 // which is why write-heavy keys are demoted rather than replicated.
+//
+// A last replicated row reruns the 0.99 read-only workload with a
+// directory of only hotspotSmallDirectory entries, fewer than the keys
+// that pass the promotion threshold: it exercises the directory's
+// admission rule, whose turned-away candidates the admission_rejects
+// field counts.
 func Hotspot(w io.Writer, scale Scale) error {
 	header(w, "Hotspot: hot-key replication + load-aware read spreading, 4 MNs")
 	keys := scale.pick(2048, 16384)
@@ -83,34 +92,19 @@ func Hotspot(w io.Writer, scale Scale) error {
 				cfg.theta, cfg.label, onOff(locCache))
 			row(w, "mode", "tput(Mops)", "speedup", "hit rate", "imbalance", "spec hit", "verbs/get")
 			base := 0.0
-			for _, replicate := range []bool{false, true} {
-				m := runHotspot(cfg.theta, replicate, locCache, keys, clients, opsEach, cfg.writeDenom)
-				if !replicate {
+			for _, maxHot := range []int{0, hotspotMaxHotKeys} {
+				m := runHotspot(cfg.theta, maxHot, locCache, keys, clients, opsEach, cfg.writeDenom)
+				if maxHot == 0 {
 					base = m.res.Mops()
 				}
-				speedup := 0.0
-				if base > 0 {
-					speedup = m.res.Mops() / base
-				}
-				mode := "unreplicated"
-				if replicate {
-					mode = "replicated"
-				}
-				row(w, mode, m.res.Mops(), speedup, m.res.HitRate(), m.imb, m.spec, m.vpg)
-				rows = append(rows, hotspotRow{
-					Theta: cfg.theta, Workload: cfg.label, Mode: mode, LocCache: locCache,
-					Mops: m.res.Mops(), Speedup: speedup, HitRate: m.res.HitRate(), Imbalance: m.imb,
-					Promotions: m.mc.Promotions, Demotions: m.mc.Demotions, SpreadReads: m.mc.SpreadReads,
-					SpecGetHitRate: m.spec, VerbsPerGet: m.vpg,
-					AllocsPerOp: m.res.AllocsPerOp(), HostNsPerOp: m.res.HostNsPerOp(),
-				})
-				if replicate {
-					fmt.Fprintf(w, "promotions: %d, demotions: %d, spread reads: %d\n",
-						m.mc.Promotions, m.mc.Demotions, m.mc.SpreadReads)
-				}
+				rows = append(rows, hotspotResultRow(w, cfg.theta, cfg.label, locCache, base, m))
 			}
 		}
 	}
+	fmt.Fprintf(w, "-- zipf theta=0.99, read-only, loc-cache off, %d-entry directory --\n", hotspotSmallDirectory)
+	row(w, "mode", "tput(Mops)", "speedup", "hit rate", "imbalance", "spec hit", "verbs/get")
+	m := runHotspot(0.99, hotspotSmallDirectory, false, keys, clients, opsEach, 0)
+	rows = append(rows, hotspotResultRow(w, 0.99, "read-only", false, rows[0].Mops, m))
 	return writeJSONSummary(w, map[string]interface{}{
 		"scenario":        "hotspot",
 		"scale":           scale.String(),
@@ -120,6 +114,35 @@ func Hotspot(w io.Writer, scale Scale) error {
 		"loc_cache_slots": hotspotLocSlots,
 		"results":         rows,
 	})
+}
+
+// hotspotResultRow prints one measurement's table line (plus the
+// directory counters for replicated runs) and returns its JSON row;
+// base is the throughput of the matching unreplicated run.
+func hotspotResultRow(w io.Writer, theta float64, label string, locCache bool, base float64, m hotspotMeasure) hotspotRow {
+	mode := "unreplicated"
+	if m.maxHot == hotspotMaxHotKeys {
+		mode = "replicated"
+	} else if m.maxHot > 0 {
+		mode = fmt.Sprintf("replicated-%d-entries", m.maxHot)
+	}
+	speedup := 0.0
+	if base > 0 {
+		speedup = m.res.Mops() / base
+	}
+	row(w, mode, m.res.Mops(), speedup, m.res.HitRate(), m.imb, m.spec, m.vpg)
+	if m.maxHot > 0 {
+		fmt.Fprintf(w, "promotions: %d, demotions: %d, admission rejects: %d, spread reads: %d\n",
+			m.mc.Promotions, m.mc.Demotions, m.mc.AdmissionRejects, m.mc.SpreadReads)
+	}
+	return hotspotRow{
+		Theta: theta, Workload: label, Mode: mode, LocCache: locCache,
+		Mops: m.res.Mops(), Speedup: speedup, HitRate: m.res.HitRate(), Imbalance: m.imb,
+		Promotions: m.mc.Promotions, Demotions: m.mc.Demotions,
+		AdmissionRejects: m.mc.AdmissionRejects, SpreadReads: m.mc.SpreadReads,
+		SpecGetHitRate: m.spec, VerbsPerGet: m.vpg,
+		AllocsPerOp: m.res.AllocsPerOp(), HostNsPerOp: m.res.HostNsPerOp(),
+	}
 }
 
 // onOff renders a bool dimension for the text table headers.
@@ -136,24 +159,35 @@ func onOff(b bool) string {
 // is built for.
 const hotspotLocSlots = 4096
 
+// hotspotMaxHotKeys is the replicated rows' directory capacity: it
+// comfortably covers the hot tail at quick scale. hotspotSmallDirectory
+// is the admission row's: at either scale far fewer entries than the
+// zipf-0.99 keys that cross the promotion threshold.
+const (
+	hotspotMaxHotKeys     = 512
+	hotspotSmallDirectory = 32
+)
+
 // hotspotMeasure is one runHotspot measurement.
 type hotspotMeasure struct {
-	res  Result
-	imb  float64
-	mc   *core.MultiCluster
-	spec float64 // fraction of Gets served speculatively
-	vpg  float64 // READ verbs per Get over the measured phase
+	res    Result
+	imb    float64
+	mc     *core.MultiCluster
+	maxHot int     // directory capacity; 0 = replication off
+	spec   float64 // fraction of Gets served speculatively
+	vpg    float64 // READ verbs per Get over the measured phase
 }
 
 // runHotspot runs `clients` closed-loop clients (zipf(theta)-skewed
 // keys; writeDenom == 0 means read-only, N means 1-in-N ops are Sets)
-// against a 4-MN pool and reports the result plus the per-node
-// served-read imbalance. theta <= 1 uses the YCSB scrambled-zipfian
-// generator; heavier tails use the classical zipf sampler
-// (math/rand.Zipf), whose rank-0 key is simply key 0 — ring placement
-// hashes the key bytes, so the hot ranks still land on effectively
-// random nodes.
-func runHotspot(theta float64, replicate, locCache bool, keys, clients, opsEach, writeDenom int) hotspotMeasure {
+// against a 4-MN pool — replicating hot keys into a directory of
+// maxHot entries, or unreplicated when maxHot is 0 — and reports the
+// result plus the per-node served-read imbalance. theta <= 1 uses the
+// YCSB scrambled-zipfian generator; heavier tails use the classical
+// zipf sampler (math/rand.Zipf), whose rank-0 key is simply key 0 —
+// ring placement hashes the key bytes, so the hot ranks still land on
+// effectively random nodes.
+func runHotspot(theta float64, maxHot int, locCache bool, keys, clients, opsEach, writeDenom int) hotspotMeasure {
 	env := sim.NewEnv(benchSeed(29))
 	opts := core.DefaultOptions(keys*3, keys*1200) // headroom for 1+R hot-key copies
 	if locCache {
@@ -167,10 +201,10 @@ func runHotspot(theta float64, replicate, locCache bool, keys, clients, opsEach,
 	// regime with tens of clients.
 	opts.Fabric.MsgSvc = 300 // ~3.3 M msg/s per MN
 	mc := core.NewMultiCluster(env, 4, opts)
-	if replicate {
+	if maxHot > 0 {
 		// Copies on every other MN, promotion after a few dozen observed
-		// hits, directory comfortably covering the hot tail.
-		mc.EnableHotKeyReplication(3, 32, 512)
+		// hits.
+		mc.EnableHotKeyReplication(3, 32, maxHot)
 	}
 	factory := func(p *sim.Proc) CacheOps { return mc.NewClient(p) }
 	RunLoad(env, factory, loadKeys(keys), 16)
@@ -216,7 +250,7 @@ func runHotspot(theta float64, replicate, locCache bool, keys, clients, opsEach,
 		vpg = float64(nodeReads(mc)-reads0) / float64(agg.Gets)
 	}
 	return hotspotMeasure{
-		res: res, imb: stats.Imbalance(served), mc: mc,
+		res: res, imb: stats.Imbalance(served), mc: mc, maxHot: maxHot,
 		spec: agg.SpecGetHitRate(), vpg: vpg,
 	}
 }

@@ -17,3 +17,7 @@ func TestAllocsPerOpSteadyStateSpecGet(t *testing.T) {
 func TestAllocsPerOpSteadyStateReplicatedSet(t *testing.T) {
 	t.Skip("alloc counts are not meaningful under -race")
 }
+
+func TestAllocsPerOpSteadyStateHotCandidateGet(t *testing.T) {
+	t.Skip("alloc counts are not meaningful under -race")
+}

@@ -189,3 +189,54 @@ func TestAllocsPerOpSteadyStateReplicatedSet(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestAllocsPerOpSteadyStateHotCandidateGet holds the hit hook of hot-key
+// replication to the same contract for the candidate a full directory
+// turns away: a hit on a key past the promotion threshold that loses
+// admission — sketch update, directory lookup, admission check against
+// the cached victim — must allocate NOTHING and queue no promotion. The
+// measured op reads the one promoted key twice per candidate read, so
+// the sketch keeps ranking the incumbent above the candidate. Gets go
+// through the per-node clients' GetAppend, as in the single-node gate
+// (the routed Get returns a fresh value copy by design). The -race
+// build gets a skipping twin (allocs_race_test.go).
+func TestAllocsPerOpSteadyStateHotCandidateGet(t *testing.T) {
+	env := sim.NewEnv(14)
+	mc := NewMultiCluster(env, 3, hotOptions(3000))
+	mc.EnableHotKeyReplication(2, 4, 1)
+	env.Go("meter", func(p *sim.Proc) {
+		m := mc.NewClient(p)
+		hot, cand := key(0), key(1)
+		m.Set(hot, value(0))
+		m.Set(cand, value(1))
+		for i := 0; i < 16 && mc.hot.Lookup(hot) == nil; i++ {
+			m.Get(hot)
+		}
+		if mc.hot.Lookup(hot) == nil {
+			t.Fatal("hot key was not promoted")
+		}
+		hotOwner, _ := m.owner(hot)
+		candOwner, _ := m.owner(cand)
+		ch, cc := m.clientFor(hotOwner), m.clientFor(candOwner)
+		dst := make([]byte, 0, 512)
+		op := func() {
+			dst, _ = ch.GetAppend(dst[:0], hot)
+			dst, _ = ch.GetAppend(dst[:0], hot)
+			dst, _ = cc.GetAppend(dst[:0], cand)
+		}
+		for r := 0; r < 8; r++ { // past the threshold; warm the plan pools
+			op()
+		}
+		promos, rejects := mc.Promotions, mc.AdmissionRejects
+		allocs := testing.AllocsPerRun(200, op)
+		t.Logf("allocs/op: 2 promoted-key gets + 1 rejected-candidate get = %.1f", allocs)
+		if mc.AdmissionRejects-rejects < 200 || mc.Promotions != promos || len(m.promo) != 0 {
+			t.Fatalf("measured candidate Gets were not all admission-rejected: rejects +%d, promotions +%d, queued %d",
+				mc.AdmissionRejects-rejects, mc.Promotions-promos, len(m.promo))
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state rejected-candidate Get allocates %.1f objects/op, want 0", allocs)
+		}
+	})
+	env.Run()
+}

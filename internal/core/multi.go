@@ -104,11 +104,15 @@ type MultiCluster struct {
 	overloadWindowNs  int64
 
 	// Promotions and Demotions count replicated-set membership changes;
-	// SpreadReads counts reads served by a replica instead of the
-	// primary — the work the replication layer moved off hot nodes.
-	Promotions  int64
-	Demotions   int64
-	SpreadReads int64
+	// AdmissionRejects counts promotion candidates a full directory
+	// turned away because the admission sketch did not rank them above
+	// the entry they would displace; SpreadReads counts reads served by
+	// a replica instead of the primary — the work the replication layer
+	// moved off hot nodes.
+	Promotions       int64
+	Demotions        int64
+	AdmissionRejects int64
+	SpreadReads      int64
 }
 
 // routeSnapshot is one immutable routing view. Everything a routing
@@ -857,7 +861,8 @@ type MultiClient struct {
 // promoCand is one queued hot-key promotion candidate: the key plus the
 // owning tenant observed at the qualifying hit, so the promotion can
 // stamp the hotset entry and the quota gate can veto replication for
-// over-quota tenants.
+// over-quota tenants. The key buffer belongs to the queue slot and is
+// reused by later candidates.
 type promoCand struct {
 	key    []byte
 	tenant TenantID
@@ -1184,7 +1189,7 @@ func (m *MultiClient) MSet(pairs []KV) {
 			if m.mc.hot.Lookup(kv.Key) != nil {
 				hot = append(hot, kv)
 			} else {
-				m.mc.hot.BeginWrite(kv.Key)
+				m.mc.hot.BeginWrite(hashtable.KeyHash(kv.Key))
 				rest = append(rest, kv)
 			}
 		}
@@ -1200,7 +1205,7 @@ func (m *MultiClient) MSet(pairs []KV) {
 			if err := m.resyncAfterWrite(rest[i].Key); err != nil && firstErr == nil {
 				firstErr = err
 			}
-			m.mc.hot.EndWrite(rest[i].Key)
+			m.mc.hot.EndWrite(hashtable.KeyHash(rest[i].Key))
 		}
 		raise(firstErr)
 		return
@@ -1326,12 +1331,13 @@ func (m *MultiClient) set(key, value []byte) error {
 	if e := m.mc.hot.Lock(m.p, key); e != nil {
 		return m.setReplicated(e, key, value)
 	}
-	m.mc.hot.BeginWrite(key)
+	kh := hashtable.KeyHash(key)
+	m.mc.hot.BeginWrite(kh)
 	err := catchUnavailable(func() { m.setDirect(key, value) })
 	if err == nil {
 		err = m.resyncAfterWrite(key)
 	}
-	m.mc.hot.EndWrite(key)
+	m.mc.hot.EndWrite(kh)
 	return err
 }
 
@@ -1376,7 +1382,8 @@ func (m *MultiClient) Delete(key []byte) bool {
 		return m.deleteDirect(key)
 	}
 	e := m.mc.hot.Lock(m.p, key)
-	m.mc.hot.BeginWrite(key)
+	kh := hashtable.KeyHash(key)
+	m.mc.hot.BeginWrite(kh)
 	if e != nil {
 		m.demoteLocked(e)
 	}
@@ -1385,7 +1392,7 @@ func (m *MultiClient) Delete(key []byte) bool {
 	// forever-registered write would pin a racing promotion's entry
 	// warming permanently.
 	err := m.resyncAfterWrite(key)
-	m.mc.hot.EndWrite(key)
+	m.mc.hot.EndWrite(kh)
 	raise(err)
 	return ok
 }
@@ -1428,7 +1435,7 @@ func (m *MultiClient) MDelete(keys [][]byte) []bool {
 	}
 	for _, k := range keys {
 		e := m.mc.hot.Lock(m.p, k)
-		m.mc.hot.BeginWrite(k)
+		m.mc.hot.BeginWrite(hashtable.KeyHash(k))
 		if e != nil {
 			m.demoteLocked(e)
 		}
@@ -1442,7 +1449,7 @@ func (m *MultiClient) MDelete(keys [][]byte) []bool {
 		if err := m.resyncAfterWrite(k); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		m.mc.hot.EndWrite(k)
+		m.mc.hot.EndWrite(hashtable.KeyHash(k))
 	}
 	raise(firstErr)
 	return out

@@ -67,10 +67,21 @@ package core
 //
 // Demotion is load-aware in the other direction too: replication pays
 // 1+R writes per Set, so an entry whose write count overtakes its spread
-// reads (demoteMinWrites/demoteWriteReadRatio) is dropped, and the
-// directory evicts its least-recently-read entry when full. A replica
+// reads (demoteMinWrites/demoteWriteReadRatio) is dropped. A replica
 // miss (copy not yet materialized, or evicted) silently falls back to
 // the primary — spreading can never turn a present key into a miss.
+//
+// Admission: on a full directory a candidate must displace the
+// least-recently-read entry, and it may do so only when the directory's
+// TinyLFU sketch (hotset.Admit) estimates its recent hit frequency
+// strictly above that victim's. Every hit any client observes — primary
+// or spread — feeds the sketch (noteHotCandidate), which halves its
+// counters every W = 16 × maxHotKeys × HotThreshold hits, so the
+// estimates follow the workload's current hot set. Without admission,
+// a hot set larger than the directory thrashes it: each promotion
+// demotes a key that re-qualifies on its next hit, paying an
+// invalidation and a materialization per swap. A candidate that loses
+// is rejected before any verb is issued and re-tried on a later hit.
 
 import (
 	"fmt"
@@ -104,7 +115,10 @@ const (
 // EnableHotKeyReplication turns on hot-key replication: keys whose hit
 // frequency reaches threshold are copied to the factor ring-successor
 // nodes of their primary owner and their reads spread across all copies.
-// maxHotKeys caps the directory (defaultMaxHotKeys when <= 0). Call it
+// maxHotKeys caps the directory (defaultMaxHotKeys when <= 0); once it is
+// full, a candidate replaces the least-recently-read entry only if its
+// recent hit frequency, estimated by a TinyLFU sketch that halves every
+// 16 × maxHotKeys × threshold hits, is strictly higher. Call it
 // before creating clients — the promotion signal is installed when a
 // client connects. Replication is usable on a single-node pool (it just
 // never promotes) and survives AddNode/RemoveNode: a ring switch demotes
@@ -121,7 +135,7 @@ func (mc *MultiCluster) EnableHotKeyReplication(factor int, threshold uint64, ma
 	}
 	mc.ReplicaFactor = factor
 	mc.HotThreshold = threshold
-	mc.hot = hotset.New(mc.Env, maxHotKeys)
+	mc.hot = hotset.New(mc.Env, maxHotKeys, threshold)
 	for _, id := range mc.order {
 		mc.installEvictHook(id, mc.nodes[id])
 	}
@@ -138,16 +152,21 @@ func (mc *MultiCluster) installEvictHook(id int, cl *Cluster) {
 	cl.onEvictHash = func(kh uint64) { mc.hot.MarkPrimaryEvicted(id, kh) }
 }
 
-// noteHotCandidate is the Client.onHit hook: it queues a key for
-// promotion when its observed hit frequency crosses the threshold. It
-// must not issue verbs (it runs inside the hit path), so the promotion
-// itself — which reads the value and materializes copies — is deferred
-// to drainPromotions at the next operation boundary. The hit's decoded
-// tenant rides along: replication multiplies a key's footprint by 1+R,
-// so an over-quota tenant's keys are refused promotion — a noisy
-// neighbor cannot amplify its own overage through the hot tail.
+// noteHotCandidate is the Client.onHit hook: it feeds every hit to the
+// directory's admission sketch and queues a key for promotion when its
+// observed hit frequency crosses the threshold and it would win
+// admission. It must not issue verbs (it runs inside the hit path), so
+// the promotion itself — which reads the value and materializes copies
+// — is deferred to drainPromotions at the next operation boundary. The
+// hit's decoded tenant rides along: replication multiplies a key's
+// footprint by 1+R, so an over-quota tenant's keys are refused
+// promotion — a noisy neighbor cannot amplify its own overage through
+// the hot tail. A rejected candidate costs a few sketch probes and no
+// allocation: the queue's slots and key buffers are reused.
 func (m *MultiClient) noteHotCandidate(key []byte, tenant TenantID, freq uint64) {
 	mc := m.mc
+	kh := hashtable.KeyHash(key)
+	mc.hot.Record(kh)
 	if freq < mc.HotThreshold || mc.snap().oldRing != nil || mc.NumNodes() < 2 {
 		return
 	}
@@ -157,21 +176,40 @@ func (m *MultiClient) noteHotCandidate(key []byte, tenant TenantID, freq uint64)
 	if mc.hot.Lookup(key) != nil || len(m.promo) >= promoQueueCap {
 		return
 	}
-	m.promo = append(m.promo, promoCand{key: append([]byte(nil), key...), tenant: tenant})
+	if _, ok := mc.admit(kh); !ok {
+		return
+	}
+	if n := len(m.promo); n < cap(m.promo) {
+		m.promo = m.promo[:n+1]
+	} else {
+		m.promo = append(m.promo, promoCand{})
+	}
+	c := &m.promo[len(m.promo)-1]
+	c.key = append(c.key[:0], key...)
+	c.tenant = tenant
+}
+
+// admit applies the directory's admission rule (hotset.Admit) to the
+// candidate with key hash kh, counting a rejection by the sketch in
+// AdmissionRejects. ok=false with a nil victim means every entry is
+// under maintenance, which is no rejection.
+func (mc *MultiCluster) admit(kh uint64) (victim *hotset.Entry, ok bool) {
+	victim, ok = mc.hot.Admit(kh)
+	if !ok && victim != nil {
+		mc.AdmissionRejects++
+	}
+	return victim, ok
 }
 
 // drainPromotions promotes every queued candidate. Called at the top of
 // Get/MGet/Set/MSet, so promotion verbs never extend the operation that
-// detected the hotness.
+// detected the hotness. The queue is emptied in place: its slots (and
+// their key buffers) serve the next candidates.
 func (m *MultiClient) drainPromotions() {
-	if len(m.promo) == 0 {
-		return
+	for i := 0; i < len(m.promo); i++ {
+		m.promote(m.promo[i].key, m.promo[i].tenant)
 	}
-	pending := m.promo
-	m.promo = nil
-	for _, cand := range pending {
-		m.promote(cand.key, cand.tenant)
-	}
+	m.promo = m.promo[:0]
 }
 
 // promote materializes key's value on its ring-successor nodes and
@@ -203,11 +241,14 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 		return // single-node pool: nothing to spread to
 	}
 	now := m.p.Now()
-	// Full directory: demote the least-recently-read entry to make room.
+	kh := hashtable.KeyHash(key)
+	// Full directory: demote the least-recently-read entry to make room,
+	// but only for a candidate the sketch ranks strictly hotter (the
+	// sketch moved since the queueing hit, so admission is re-checked).
 	for mc.hot.Len() >= mc.hot.Limit() {
-		v := mc.hot.Victim()
-		if v == nil {
-			return // every entry under maintenance; retry on a later hit
+		v, ok := mc.admit(kh)
+		if !ok {
+			return // rejected, or every entry under maintenance; retry on a later hit
 		}
 		if e := mc.hot.Lock(m.p, v.Key); e != nil {
 			m.demoteLocked(e)
@@ -220,7 +261,7 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 	}
 	e := &hotset.Entry{
 		Key:      append([]byte(nil), key...),
-		KeyHash:  hashtable.KeyHash(key),
+		KeyHash:  kh,
 		Epoch:    epoch,
 		Primary:  owners[0],
 		Replicas: owners[1:],
@@ -258,7 +299,7 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 	// value our snapshot predates: stay warming (readers won't spread)
 	// until that writer's repair — or a later replicated fan-out —
 	// observes write-quiescence and clears it.
-	e.Warming = mc.hot.InflightWrites(key) > 0
+	e.Warming = mc.hot.InflightWrites(kh) > 0
 	mc.hot.Unlock(e)
 	mc.Promotions++
 }
@@ -392,13 +433,14 @@ func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
 		// must not leak the registration (a forever-registered write
 		// would pin the entry warming permanently), so the registration
 		// is released before the typed failure resurfaces.
+		kh := e.KeyHash
 		m.demoteLocked(e)
-		mc.hot.BeginWrite(key)
+		mc.hot.BeginWrite(kh)
 		err := catchUnavailable(func() { m.setDirect(key, value) })
 		if err == nil {
 			err = m.resyncAfterWrite(key)
 		}
-		mc.hot.EndWrite(key)
+		mc.hot.EndWrite(kh)
 		return err
 	}
 	m.invalidateReplicas(e) // replicas empty before the new value is readable
@@ -420,7 +462,7 @@ func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
 		m.demoteLocked(e)
 		return err
 	}
-	if e.Warming && mc.hot.InflightWrites(key) == 0 {
+	if e.Warming && mc.hot.InflightWrites(e.KeyHash) == 0 {
 		// Every pre-entry writer has completed (and repaired): our
 		// fan-out just made all copies equal to the primary, so the
 		// entry is safe to spread from.
@@ -612,7 +654,7 @@ func (m *MultiClient) resyncAfterWrite(key []byte) error {
 		m.demoteLocked(e)
 		return err
 	}
-	if m.mc.hot.InflightWrites(key) == 1 {
+	if m.mc.hot.InflightWrites(e.KeyHash) == 1 {
 		// This repair is the last registered writer standing: the value
 		// just pushed is the primary's current one and no unreplicated
 		// CAS can land after it (any new writer sees the entry), so the

@@ -49,6 +49,18 @@
 // promotion) that drives load-aware demotion: replication pays 1+R writes
 // per Set, so a key whose write rate overtakes its read rate is demoted
 // by the core layer using these counters.
+//
+// Admission: more keys can cross the promotion threshold than the
+// directory holds, and a full directory that always made room — demote
+// the least-recently-read entry, insert the newcomer — would thrash: the
+// demoted key qualifies again on its next hit, and each swap costs a
+// replica invalidation plus a materialization. So the directory keeps a
+// TinyLFU frequency sketch (sketch.go), fed with every hit the pool's
+// clients observe, and admits a candidate into a full directory only
+// when its estimated recent frequency strictly exceeds the
+// least-recently-read victim's (Admit). The sketch halves its counters
+// every W = 16 × limit × threshold samples; W derives from the
+// directory's two existing parameters, so admission adds no option.
 package hotset
 
 import (
@@ -154,6 +166,7 @@ type Set struct {
 	limit   int
 	seq     uint64 // insertion counter; stamps Entry.seq
 	entries map[string]*Entry
+	freq    *sketch // recent hit frequency of every key the clients read (Record)
 	// read is the COW (copy-on-write) snapshot of entries behind an
 	// atomic pointer, RCU-style: Lookup — the per-read hot path — loads
 	// it once and probes a map no writer will ever mutate, while Insert
@@ -163,20 +176,33 @@ type Set struct {
 	// mutate in place under the usual discipline (yield-free readers,
 	// per-entry locks for maintainers).
 	read     atomic.Pointer[map[string]*Entry]
-	inflight map[string]int // unreplicated writes in flight, per key
+	inflight map[uint64]int // unreplicated writes in flight, per key hash (BeginWrite)
 	unlocked *sim.Cond      // broadcast whenever any entry lock is released
+
+	// victim caches Victim's result while victimOK; victimLast is the
+	// victim's lastRead when it was cached. See Victim.
+	victim     *Entry
+	victimLast int64
+	victimOK   bool
 }
 
-// New creates an empty directory holding at most limit entries (the
-// promotion path evicts the least-recently-read entry beyond it).
-func New(env *sim.Env, limit int) *Set {
+// New creates an empty directory holding at most limit entries, whose
+// keys become promotion candidates after threshold hits. Beyond limit
+// the promotion path must win admission against the least-recently-read
+// entry (Admit); the admission sketch halves every 16 × limit ×
+// threshold recorded hits.
+func New(env *sim.Env, limit int, threshold uint64) *Set {
 	if limit < 1 {
 		limit = 1
+	}
+	if threshold < 1 {
+		threshold = 1
 	}
 	s := &Set{
 		limit:    limit,
 		entries:  make(map[string]*Entry),
-		inflight: make(map[string]int),
+		freq:     newSketch(limit, 16*uint64(limit)*threshold),
+		inflight: make(map[uint64]int),
 		unlocked: sim.NewCond(env),
 	}
 	s.publishRead()
@@ -255,6 +281,13 @@ func (s *Set) CrashWake() { s.unlocked.Broadcast() }
 func (s *Set) Unlock(e *Entry) {
 	e.busy = false
 	e.owner = nil
+	// The unlocked entry rejoins Victim's candidates: it becomes the
+	// victim if it is older than the cached one (whose stamp every other
+	// candidate's lastRead was at least when it was cached, and lastRead
+	// only grows).
+	if s.victimOK && (s.victim == nil || olderThan(e, s.victimLast, s.victim.seq)) {
+		s.victim, s.victimLast = e, e.lastRead
+	}
 	s.unlocked.Broadcast()
 }
 
@@ -283,6 +316,9 @@ func (s *Set) Insert(p *sim.Proc, e *Entry) bool {
 func (s *Set) Remove(e *Entry) {
 	delete(s.entries, string(e.Key))
 	s.publishRead()
+	if s.victim == e {
+		s.victimOK = false
+	}
 	e.busy = false
 	e.owner = nil
 	s.unlocked.Broadcast()
@@ -294,18 +330,60 @@ func (s *Set) Remove(e *Entry) {
 // order (oldest entry wins), so the scan computes a strict minimum
 // under a total order: the result is independent of map iteration
 // order, which keeps demotion choices reproducible under CHAOS_SEED.
+//
+// The result is cached, because admission consults it on every hit of
+// a candidate key. The cache stays exact without a hook on the read
+// path: virtual time is monotonic, so a read only ever raises an
+// entry's lastRead and can displace only the victim itself, which
+// Victim detects by its changed stamp (or its lock); an entry leaving
+// maintenance is compared on Unlock, and removing the victim drops the
+// cache. Anything else costs one O(limit) rescan.
 func (s *Set) Victim() *Entry {
+	if v := s.victim; s.victimOK && (v == nil || !v.busy && v.lastRead == s.victimLast) {
+		return v
+	}
 	var v *Entry
 	//dittolint:allow simdet (strict minimum under a total order: lastRead ties broken by unique insertion seq, so the result is iteration-order independent)
 	for _, e := range s.entries {
-		if e.busy {
-			continue
-		}
-		if v == nil || e.lastRead < v.lastRead || (e.lastRead == v.lastRead && e.seq < v.seq) {
+		if !e.busy && (v == nil || olderThan(e, v.lastRead, v.seq)) {
 			v = e
 		}
 	}
+	s.victim, s.victimOK = v, true
+	if v != nil {
+		s.victimLast = v.lastRead
+	}
 	return v
+}
+
+// olderThan orders entries for Victim: e precedes an entry last read at
+// lastRead and inserted as seq.
+func olderThan(e *Entry, lastRead int64, seq uint64) bool {
+	return e.lastRead < lastRead || e.lastRead == lastRead && e.seq < seq
+}
+
+// Record feeds one hit of the key with hash kh to the admission sketch.
+// The core layer calls it for every hit its clients observe — primary
+// and replica-spread reads alike — so the estimates rank every key,
+// promoted or not, by recent read frequency.
+func (s *Set) Record(kh uint64) { s.freq.record(kh) }
+
+// Admit applies TinyLFU's admission rule to a promotion candidate with
+// key hash kh. While the directory has room it admits with no victim.
+// When it is full, victim is the entry a promotion would demote (see
+// Victim), and admit is true only if the candidate's estimated recent
+// frequency strictly exceeds the victim's: a tie keeps the incumbent,
+// since swapping equals costs a demotion and a materialization for
+// nothing. admit is false with a nil victim when every entry is under
+// maintenance. Admit issues no verbs and allocates nothing.
+func (s *Set) Admit(kh uint64) (victim *Entry, admit bool) {
+	if len(s.entries) < s.limit {
+		return nil, true
+	}
+	if victim = s.Victim(); victim == nil {
+		return nil, false
+	}
+	return victim, s.freq.estimate(kh) > s.freq.estimate(victim.KeyHash)
 }
 
 // MarkPrimaryEvicted flags the entry (if any) whose key hash matches an
@@ -329,30 +407,39 @@ func (s *Set) MarkPrimaryEvicted(node int, keyHash uint64) {
 	}
 }
 
-// BeginWrite registers an unreplicated write in flight on key. Write
-// paths that did NOT find an entry under Lock bracket their whole span
-// (verbs + post-CAS repair) with BeginWrite/EndWrite; the registry never
-// blocks anyone — it only tells promotion to publish Warming and tells
-// fan-outs when the key is write-quiescent (InflightWrites). The
+// BeginWrite registers an unreplicated write in flight on the key with
+// table hash kh (hashtable.KeyHash, the hash Entry.KeyHash records).
+// Write paths that did NOT find an entry under Lock bracket their whole
+// span (verbs + post-CAS repair) with BeginWrite/EndWrite; the registry
+// never blocks anyone — it only tells promotion to publish Warming and
+// tells fan-outs when the key is write-quiescent (InflightWrites). The
 // registration must happen in the same scheduling slice as the nil Lock
 // result (no verb in between): an entry inserted later then provably
 // either sees the registration or was seen by the writer.
-func (s *Set) BeginWrite(key []byte) { s.inflight[string(key)]++ }
+//
+// The registry is keyed by hash rather than key bytes so registering
+// allocates nothing. Two keys whose hashes collide share one count,
+// which can only over-count a key's writes in flight: its entry stays
+// Warming — readers use the primary — a little longer than needed, the
+// safe direction. The count never reads low, so a collision can never
+// let a reader spread from a copy an unreplicated write may have
+// superseded.
+func (s *Set) BeginWrite(kh uint64) { s.inflight[kh]++ }
 
 // EndWrite unregisters a write registered by BeginWrite. Call it only
 // after the write's repair re-check (resyncAfterWrite) has completed,
 // so a clearing fan-out that still sees this registration knows the
 // repair is yet to run.
-func (s *Set) EndWrite(key []byte) {
-	k := string(key)
-	if s.inflight[k]--; s.inflight[k] <= 0 {
-		delete(s.inflight, k)
+func (s *Set) EndWrite(kh uint64) {
+	if s.inflight[kh]--; s.inflight[kh] <= 0 {
+		delete(s.inflight, kh)
 	}
 }
 
 // InflightWrites returns the number of registered unreplicated writes
-// in flight on key.
-func (s *Set) InflightWrites(key []byte) int { return s.inflight[string(key)] }
+// in flight on the key with hash kh, counting any key whose hash
+// collides with it.
+func (s *Set) InflightWrites(kh uint64) int { return s.inflight[kh] }
 
 // Keys returns a snapshot of every entry's key (locked or not), sorted
 // bytewise, for maintenance sweeps that demote entries one by one via

@@ -1,6 +1,8 @@
 package hotset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ditto/internal/sim"
@@ -25,7 +27,7 @@ func TestReadTargetRotates(t *testing.T) {
 
 func TestInsertLookupRemove(t *testing.T) {
 	env := sim.NewEnv(1)
-	s := New(env, 4)
+	s := New(env, 4, 1)
 	e := &Entry{Key: []byte("k"), Primary: 0, Replicas: []int{1}}
 	if !s.Insert(nil, e) {
 		t.Fatal("insert failed")
@@ -61,7 +63,7 @@ func TestInsertLookupRemove(t *testing.T) {
 // waiter whose entry is removed while blocked must get nil.
 func TestLockSerializesMaintainers(t *testing.T) {
 	env := sim.NewEnv(2)
-	s := New(env, 4)
+	s := New(env, 4, 1)
 	e := &Entry{Key: []byte("k")}
 	s.Insert(nil, e) // born locked by "promoter" below
 	var order []string
@@ -95,7 +97,7 @@ func TestLockSerializesMaintainers(t *testing.T) {
 
 func TestVictimPicksColdestUnlocked(t *testing.T) {
 	env := sim.NewEnv(3)
-	s := New(env, 8)
+	s := New(env, 8, 1)
 	mk := func(k string, last int64) *Entry {
 		e := &Entry{Key: []byte(k)}
 		s.Insert(nil, e)
@@ -125,7 +127,7 @@ func TestVictimPicksColdestUnlocked(t *testing.T) {
 // (the dead holder may have left the copy set half-mutated).
 func TestLockStealFromKilledOwner(t *testing.T) {
 	env := sim.NewEnv(4)
-	s := New(env, 4)
+	s := New(env, 4, 1)
 	e := &Entry{Key: []byte("k")}
 	s.Insert(nil, e)
 	s.Unlock(e)
@@ -166,7 +168,7 @@ func TestLockStealFromKilledOwner(t *testing.T) {
 
 func TestMarkPrimaryEvicted(t *testing.T) {
 	env := sim.NewEnv(1)
-	s := New(env, 8)
+	s := New(env, 8, 1)
 	e := &Entry{Key: []byte("k"), KeyHash: 42, Primary: 3, Replicas: []int{1, 2}}
 	s.Insert(nil, e)
 	s.Unlock(e)
@@ -185,5 +187,81 @@ func TestMarkPrimaryEvicted(t *testing.T) {
 	}
 	if e.busy {
 		t.Fatal("marking must not take the entry lock")
+	}
+}
+
+// TestWriteRegistryHashCollision registers writes of two distinct keys
+// whose hashes collide: they share one count, so the registry reports
+// the first key's write in flight until BOTH have ended — an
+// over-count, which only keeps an entry Warming longer (readers use the
+// primary). It never reports zero while either write is in flight.
+func TestWriteRegistryHashCollision(t *testing.T) {
+	s := New(sim.NewEnv(1), 4, 1)
+	const kh = 0xfeed // the shared hash of keys "a" and "b" in this test
+	s.BeginWrite(kh)  // a write of "a"
+	s.BeginWrite(kh)  // a write of "b"
+	if n := s.InflightWrites(kh); n != 2 {
+		t.Fatalf("two colliding writes in flight: InflightWrites = %d, want 2", n)
+	}
+	s.EndWrite(kh) // "b" completes; "a" is still in flight
+	if n := s.InflightWrites(kh); n != 1 {
+		t.Fatalf("one write left in flight: InflightWrites = %d, want 1", n)
+	}
+	s.EndWrite(kh)
+	if n := s.InflightWrites(kh); n != 0 || len(s.inflight) != 0 {
+		t.Fatalf("all writes ended: InflightWrites = %d, registry size %d", n, len(s.inflight))
+	}
+}
+
+// TestVictimCacheMatchesScan drives random reads, locks, unlocks,
+// inserts and removals (with monotonic virtual time, as the simulator
+// guarantees) and checks after each step that the cached Victim equals
+// a fresh scan for the strict minimum.
+func TestVictimCacheMatchesScan(t *testing.T) {
+	s := New(sim.NewEnv(1), 32, 1)
+	rng := rand.New(rand.NewSource(3))
+	scan := func() *Entry {
+		var v *Entry
+		for _, k := range s.Keys() {
+			e := s.entries[string(k)]
+			if !e.busy && (v == nil || olderThan(e, v.lastRead, v.seq)) {
+				v = e
+			}
+		}
+		return v
+	}
+	var now int64
+	for step := 0; step < 20000; step++ {
+		now += int64(rng.Intn(3)) // ties on lastRead happen often
+		keys := s.Keys()
+		var e *Entry
+		if len(keys) > 0 {
+			e = s.entries[string(keys[rng.Intn(len(keys))])]
+		}
+		switch op := rng.Intn(10); {
+		case e == nil || op == 0 && s.Len() < s.Limit():
+			n := &Entry{Key: []byte(fmt.Sprintf("k%d", step))}
+			n.Touch(now)
+			s.Insert(nil, n)
+		case op <= 5:
+			if !e.busy {
+				e.ReadTarget(now)
+			} else {
+				e.NoteRead(now)
+			}
+		case op <= 7:
+			if e.busy {
+				s.Unlock(e)
+			} else {
+				e.busy = true // Lock's effect, without a sim process
+			}
+		default:
+			if e.busy {
+				s.Remove(e)
+			}
+		}
+		if got, want := s.Victim(), scan(); got != want {
+			t.Fatalf("step %d: Victim = %v, scan = %v", step, got, want)
+		}
 	}
 }
