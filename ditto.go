@@ -103,8 +103,12 @@ func Algorithms() []string { return cachealgo.Names() }
 // GrowCache/ShrinkCache for pool-wide byte-granular elasticity.
 //
 // EnableHotKeyReplication relieves zipfian skew: keys whose hit
-// frequency crosses a threshold are copied to their ring-successor
-// nodes and their reads spread across all copies, while writes stay
+// frequency crosses a threshold, and whose spreading lowers the
+// projected load of the busiest of their nodes (a per-node load ledger
+// that prices each key's writes at the pool's write fraction and ages
+// with the admission sketch), are copied to their ring-successor nodes
+// and their reads spread across all copies; entries that stop passing
+// that test are demoted. Writes stay
 // linearizable — under a per-key lock, a write first invalidates the
 // replica copies, then publishes on the primary, then re-materializes
 // them, so a spreadable replica only ever holds the current value or

@@ -291,6 +291,28 @@ func TestHotspotReplicationSpeedup(t *testing.T) {
 	}
 }
 
+// TestHotspotGateWhereRingBalances pins the hotspot scenario's wide-key
+// pair at quick-scale parameters: zipf 0.99 with 5% writes over
+// hotspotWideKeys keys, where the ring alone keeps the busiest node
+// within 15% of the mean. In that regime spreading every key past the
+// threshold made hot writes pay the write-through for little balance,
+// and replication ran slower than no replication at all; the
+// replication gate must keep it at least as fast.
+func TestHotspotGateWhereRingBalances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second scenario")
+	}
+	unrep := runHotspot(0.99, 0, false, hotspotWideKeys, 48, 1500, 20)
+	rep := runHotspot(0.99, hotspotMaxHotKeys, false, hotspotWideKeys, 48, 1500, 20)
+	if unrep.imb > 1.15 {
+		t.Fatalf("unreplicated imbalance = %.3f: the ring does not balance this workload (want <= 1.15)", unrep.imb)
+	}
+	if rep.res.Mops() < unrep.res.Mops() {
+		t.Fatalf("replicated %.3f Mops below unreplicated %.3f Mops (promotions=%d gate rejects=%d)",
+			rep.res.Mops(), unrep.res.Mops(), rep.mc.Promotions, rep.mc.GateRejects)
+	}
+}
+
 // TestChurnReclaimSpeedup pins the churn scenario's headline at
 // quick-scale parameters: under write-heavy zipf churn at full
 // occupancy, background doorbell reclaim must beat inline serial

@@ -15,6 +15,7 @@ import (
 // serialized into BENCH_hotspot.json.
 type hotspotRow struct {
 	Theta      float64 `json:"theta"`
+	Keys       int     `json:"keys"`      // key space the zipf draws from
 	Workload   string  `json:"workload"`  // "read-only" | "mixed-5pct-writes"
 	Mode       string  `json:"mode"`      // "unreplicated" | "replicated" | "replicated-32-entries"
 	LocCache   bool    `json:"loc_cache"` // client-side location cache on?
@@ -25,8 +26,12 @@ type hotspotRow struct {
 	Promotions int64   `json:"promotions"`
 	Demotions  int64   `json:"demotions"`
 	// AdmissionRejects counts promotion candidates the full directory
-	// turned away (MultiCluster.AdmissionRejects).
+	// turned away (MultiCluster.AdmissionRejects); GateRejects counts
+	// candidates the replication gate turned away because spreading them
+	// would not relieve the busiest of their nodes
+	// (MultiCluster.GateRejects).
 	AdmissionRejects int64 `json:"admission_rejects"`
+	GateRejects      int64 `json:"gate_rejects"`
 	SpreadReads      int64 `json:"spread_reads"`
 
 	// Speculative-Get effectiveness over the measured phase: the fraction
@@ -64,11 +69,18 @@ type hotspotRow struct {
 // shape is the point: replication pays on read-dominated hot keys,
 // which is why write-heavy keys are demoted rather than replicated.
 //
-// A last replicated row reruns the 0.99 read-only workload with a
-// directory of only hotspotSmallDirectory entries, fewer than the keys
-// that pass the promotion threshold: it exercises the directory's
-// admission rule, whose turned-away candidates the admission_rejects
-// field counts.
+// A replicated row reruns the 0.99 read-only workload with a directory
+// of only hotspotSmallDirectory entries, fewer than the keys that pass
+// the promotion threshold: it exercises the directory's admission rule,
+// whose turned-away candidates the admission_rejects field counts.
+//
+// The last pair runs zipf 0.99 with 5% writes over hotspotWideKeys keys,
+// the key space of perfbench's read-hot workload: spread that thin, the
+// hot tail no longer piles onto one node and the ring alone keeps the
+// busiest node within ~15% of the mean. Replicating every key past the
+// threshold then buys little balance and makes each hot write pay the
+// write-through; the replication gate (gate_rejects counts its refusals)
+// must keep the replicated run at least as fast as the unreplicated one.
 func Hotspot(w io.Writer, scale Scale) error {
 	header(w, "Hotspot: hot-key replication + load-aware read spreading, 4 MNs")
 	keys := scale.pick(2048, 16384)
@@ -105,6 +117,16 @@ func Hotspot(w io.Writer, scale Scale) error {
 	row(w, "mode", "tput(Mops)", "speedup", "hit rate", "imbalance", "spec hit", "verbs/get")
 	m := runHotspot(0.99, hotspotSmallDirectory, false, keys, clients, opsEach, 0)
 	rows = append(rows, hotspotResultRow(w, 0.99, "read-only", false, rows[0].Mops, m))
+	fmt.Fprintf(w, "-- zipf theta=0.99, mixed-5pct-writes, loc-cache off, %d keys --\n", hotspotWideKeys)
+	row(w, "mode", "tput(Mops)", "speedup", "hit rate", "imbalance", "spec hit", "verbs/get")
+	base := 0.0
+	for _, maxHot := range []int{0, hotspotMaxHotKeys} {
+		m := runHotspot(0.99, maxHot, false, hotspotWideKeys, clients, opsEach, 20)
+		if maxHot == 0 {
+			base = m.res.Mops()
+		}
+		rows = append(rows, hotspotResultRow(w, 0.99, "mixed-5pct-writes", false, base, m))
+	}
 	return writeJSONSummary(w, map[string]interface{}{
 		"scenario":        "hotspot",
 		"scale":           scale.String(),
@@ -132,14 +154,14 @@ func hotspotResultRow(w io.Writer, theta float64, label string, locCache bool, b
 	}
 	row(w, mode, m.res.Mops(), speedup, m.res.HitRate(), m.imb, m.spec, m.vpg)
 	if m.maxHot > 0 {
-		fmt.Fprintf(w, "promotions: %d, demotions: %d, admission rejects: %d, spread reads: %d\n",
-			m.mc.Promotions, m.mc.Demotions, m.mc.AdmissionRejects, m.mc.SpreadReads)
+		fmt.Fprintf(w, "promotions: %d, demotions: %d, admission rejects: %d, gate rejects: %d, spread reads: %d\n",
+			m.mc.Promotions, m.mc.Demotions, m.mc.AdmissionRejects, m.mc.GateRejects, m.mc.SpreadReads)
 	}
 	return hotspotRow{
-		Theta: theta, Workload: label, Mode: mode, LocCache: locCache,
+		Theta: theta, Keys: m.keys, Workload: label, Mode: mode, LocCache: locCache,
 		Mops: m.res.Mops(), Speedup: speedup, HitRate: m.res.HitRate(), Imbalance: m.imb,
 		Promotions: m.mc.Promotions, Demotions: m.mc.Demotions,
-		AdmissionRejects: m.mc.AdmissionRejects, SpreadReads: m.mc.SpreadReads,
+		AdmissionRejects: m.mc.AdmissionRejects, GateRejects: m.mc.GateRejects, SpreadReads: m.mc.SpreadReads,
 		SpecGetHitRate: m.spec, VerbsPerGet: m.vpg,
 		AllocsPerOp: m.res.AllocsPerOp(), HostNsPerOp: m.res.HostNsPerOp(),
 	}
@@ -162,15 +184,18 @@ const hotspotLocSlots = 4096
 // hotspotMaxHotKeys is the replicated rows' directory capacity: it
 // comfortably covers the hot tail at quick scale. hotspotSmallDirectory
 // is the admission row's: at either scale far fewer entries than the
-// zipf-0.99 keys that cross the promotion threshold.
+// zipf-0.99 keys that cross the promotion threshold. hotspotWideKeys is
+// the last pair's key space at either scale, perfbench read-hot's.
 const (
 	hotspotMaxHotKeys     = 512
 	hotspotSmallDirectory = 32
+	hotspotWideKeys       = 100_000
 )
 
 // hotspotMeasure is one runHotspot measurement.
 type hotspotMeasure struct {
 	res    Result
+	keys   int
 	imb    float64
 	mc     *core.MultiCluster
 	maxHot int     // directory capacity; 0 = replication off
@@ -250,7 +275,7 @@ func runHotspot(theta float64, maxHot int, locCache bool, keys, clients, opsEach
 		vpg = float64(nodeReads(mc)-reads0) / float64(agg.Gets)
 	}
 	return hotspotMeasure{
-		res: res, imb: stats.Imbalance(served), mc: mc, maxHot: maxHot,
+		res: res, keys: keys, imb: stats.Imbalance(served), mc: mc, maxHot: maxHot,
 		spec: agg.SpecGetHitRate(), vpg: vpg,
 	}
 }

@@ -106,12 +106,15 @@ type MultiCluster struct {
 	// Promotions and Demotions count replicated-set membership changes;
 	// AdmissionRejects counts promotion candidates a full directory
 	// turned away because the admission sketch did not rank them above
-	// the entry they would displace; SpreadReads counts reads served by
-	// a replica instead of the primary — the work the replication layer
-	// moved off hot nodes.
+	// the entry they would displace; GateRejects counts candidates the
+	// replication gate turned away because spreading them would not
+	// lower the busiest node's load (hotset.Spreads); SpreadReads counts
+	// reads served by a replica instead of the primary — the work the
+	// replication layer moved off hot nodes.
 	Promotions       int64
 	Demotions        int64
 	AdmissionRejects int64
+	GateRejects      int64
 	SpreadReads      int64
 }
 
@@ -856,6 +859,7 @@ type MultiClient struct {
 	repSets []*setPlan  // updateReplicas' plans, parallel to fanout
 	tenant  TenantID    // bound tenant, propagated to every per-node client
 	promo   []promoCand // hot-key promotion candidates queued by the hit hook
+	owners  []int       // a candidate's ring owners, scratch for the replication gate
 }
 
 // promoCand is one queued hot-key promotion candidate: the key plus the
@@ -875,17 +879,20 @@ type promoCand struct {
 func (mc *MultiCluster) NewClient(p *sim.Proc) *MultiClient {
 	m := &MultiClient{mc: mc, p: p, clients: make(map[int]*Client)}
 	for _, id := range mc.order {
-		m.clients[id] = m.connect(mc.nodes[id])
+		m.clients[id] = m.connect(id, mc.nodes[id])
 	}
 	return m
 }
 
-// connect opens one per-MN client, wiring the hot-key promotion hook
-// when replication is enabled.
-func (m *MultiClient) connect(cl *Cluster) *Client {
+// connect opens one per-MN client to node id, wiring the hot-key
+// promotion hook (which charges the hit to id) when replication is
+// enabled.
+func (m *MultiClient) connect(id int, cl *Cluster) *Client {
 	c := cl.NewClient(m.p)
 	if m.mc.hot != nil {
-		c.onHit = m.noteHotCandidate
+		c.onHit = func(key []byte, tenant TenantID, freq uint64) {
+			m.noteHotCandidate(id, key, tenant, freq)
+		}
 	}
 	if m.tenant != DefaultTenant {
 		c.BindTenant(m.tenant)
@@ -903,7 +910,7 @@ func (m *MultiClient) clientFor(id int) *Client {
 	if !ok {
 		return nil
 	}
-	c := m.connect(cl)
+	c := m.connect(id, cl)
 	m.clients[id] = c
 	return c
 }
@@ -1186,6 +1193,7 @@ func (m *MultiClient) MSet(pairs []KV) {
 		rest := make([]KV, 0, len(pairs))
 		var hot []KV
 		for _, kv := range pairs {
+			m.mc.hot.NoteWrite(hashtable.KeyHash(kv.Key))
 			if m.mc.hot.Lookup(kv.Key) != nil {
 				hot = append(hot, kv)
 			} else {
@@ -1328,10 +1336,11 @@ func (m *MultiClient) set(key, value []byte) error {
 		return nil
 	}
 	m.drainPromotions()
+	kh := hashtable.KeyHash(key)
+	m.mc.hot.NoteWrite(kh)
 	if e := m.mc.hot.Lock(m.p, key); e != nil {
 		return m.setReplicated(e, key, value)
 	}
-	kh := hashtable.KeyHash(key)
 	m.mc.hot.BeginWrite(kh)
 	err := catchUnavailable(func() { m.setDirect(key, value) })
 	if err == nil {

@@ -8,7 +8,9 @@ package core
 // hotness signal Ditto's clients already maintain (§4.2.2/§4.3): when a
 // hit's logical frequency — remote snapshot + pending FC-cache delta +
 // this hit, the accounting convention shared by noteHit/updateExt —
-// crosses MultiCluster.HotThreshold, the key is PROMOTED: its value is
+// crosses MultiCluster.HotThreshold, and the replication gate finds that
+// spreading the key relieves the busiest of its nodes (below), the key
+// is PROMOTED: its value is
 // materialized on the R ring-successor nodes of its primary owner
 // (ring.OwnersN) and recorded in the cluster-shared hot-key directory
 // (internal/hotset). Reads of a promoted key then rotate across the
@@ -65,23 +67,36 @@ package core
 //     make the authoritative primary copy look like a migration
 //     duplicate and get it garbage-collected.
 //
-// Demotion is load-aware in the other direction too: replication pays
-// 1+R writes per Set, so an entry whose write count overtakes its spread
-// reads (demoteMinWrites/demoteWriteReadRatio) is dropped. A replica
-// miss (copy not yet materialized, or evicted) silently falls back to
-// the primary — spreading can never turn a present key into a miss.
+// The replication gate (hotset.Spreads) makes replication load-aware in
+// both directions. Every hit any client observes is charged to the node
+// that served it in the directory's per-node ledger, and every replicated
+// write charges each replica its write-through cost; the ledger ages
+// with the admission sketch's window W = 16 × maxHotKeys × HotThreshold
+// hits. A candidate is promoted only if spreading it lowers the
+// projected load of the busiest node among its primary and replicas,
+// with the key's writes priced at the pool's write fraction (and, for a
+// written key, by more than that node's counting noise). An entry is
+// demoted when the same test fails on its own counts: at every window
+// boundary (the entry is marked Unfit and the next toucher demotes it),
+// and on each write once it has absorbed demoteMinWrites in the window.
+// On a pool the ring already balances — perfbench read-hot, busiest node
+// 1.085× the mean with replication off — the gate promotes a handful of
+// keys instead of filling the directory, so Sets stop paying
+// write-throughs that buy no balance. A replica miss (copy not yet
+// materialized, or evicted) silently falls back to the primary —
+// spreading can never turn a present key into a miss.
 //
 // Admission: on a full directory a candidate must displace the
 // least-recently-read entry, and it may do so only when the directory's
 // TinyLFU sketch (hotset.Admit) estimates its recent hit frequency
 // strictly above that victim's. Every hit any client observes — primary
 // or spread — feeds the sketch (noteHotCandidate), which halves its
-// counters every W = 16 × maxHotKeys × HotThreshold hits, so the
-// estimates follow the workload's current hot set. Without admission,
-// a hot set larger than the directory thrashes it: each promotion
-// demotes a key that re-qualifies on its next hit, paying an
-// invalidation and a materialization per swap. A candidate that loses
-// is rejected before any verb is issued and re-tried on a later hit.
+// counters every W hits, so the estimates follow the workload's current
+// hot set. Without admission, a hot set larger than the directory
+// thrashes it: each promotion demotes a key that re-qualifies on its
+// next hit, paying an invalidation and a materialization per swap. A
+// candidate that loses admission or the gate is rejected before any
+// verb is issued and re-tried on a later hit.
 
 import (
 	"fmt"
@@ -102,23 +117,28 @@ const defaultMaxHotKeys = 256
 // beyond it re-candidate on a later operation.
 const promoQueueCap = 16
 
-// Write-heavy demotion: an entry is dropped once it has absorbed at
-// least demoteMinWrites write-throughs AND its writes exceed
-// demoteWriteReadRatio times its spread reads since promotion — at that
-// point the 1+R-copy write fan-out costs more RNIC budget than read
-// spreading recovers.
-const (
-	demoteMinWrites      = 16
-	demoteWriteReadRatio = 2
-)
+// demoteMinWrites is how many write-throughs an entry must absorb in
+// the gate's window before each further write re-judges it (Keeps).
+// The gate prices a write-through at hotset's writeThroughCost, ≈9 verbs
+// per replica (invalidate + re-materialize) against a spread read's 2–4;
+// a handful of writes after a promotion are too few to tell a
+// write-heavy key from noise, and judging on every write would demote a
+// freshly promoted key on its first write, before it served any spread
+// read.
+const demoteMinWrites = 16
 
-// EnableHotKeyReplication turns on hot-key replication: keys whose hit
-// frequency reaches threshold are copied to the factor ring-successor
-// nodes of their primary owner and their reads spread across all copies.
-// maxHotKeys caps the directory (defaultMaxHotKeys when <= 0); once it is
-// full, a candidate replaces the least-recently-read entry only if its
-// recent hit frequency, estimated by a TinyLFU sketch that halves every
-// 16 × maxHotKeys × threshold hits, is strictly higher. Call it
+// EnableHotKeyReplication turns on hot-key replication: a key whose hit
+// frequency reaches threshold, and whose spreading lowers the projected
+// load of the busiest node among its primary owner and the factor
+// ring-successor nodes (the replication gate, which prices the key's
+// writes at the pool's write fraction), is copied to those successors
+// and its reads spread across all copies; an entry that stops passing
+// the gate is demoted. maxHotKeys caps the directory (defaultMaxHotKeys
+// when <= 0); once it is full, a candidate replaces the
+// least-recently-read entry only if its recent hit frequency, estimated
+// by a TinyLFU sketch that halves every 16 × maxHotKeys × threshold
+// hits, is strictly higher. The gate's per-node load ledger ages with
+// the same window. Call it
 // before creating clients — the promotion signal is installed when a
 // client connects. Replication is usable on a single-node pool (it just
 // never promotes) and survives AddNode/RemoveNode: a ring switch demotes
@@ -152,10 +172,11 @@ func (mc *MultiCluster) installEvictHook(id int, cl *Cluster) {
 	cl.onEvictHash = func(kh uint64) { mc.hot.MarkPrimaryEvicted(id, kh) }
 }
 
-// noteHotCandidate is the Client.onHit hook: it feeds every hit to the
-// directory's admission sketch and queues a key for promotion when its
-// observed hit frequency crosses the threshold and it would win
-// admission. It must not issue verbs (it runs inside the hit path), so
+// noteHotCandidate is the Client.onHit hook of the per-node client for
+// node: it feeds every hit to the directory's admission sketch, charges
+// it to node in the gate's ledger, and queues a key for promotion when
+// its observed hit frequency crosses the threshold and it would win both
+// admission and the replication gate. It must not issue verbs (it runs inside the hit path), so
 // the promotion itself — which reads the value and materializes copies
 // — is deferred to drainPromotions at the next operation boundary. The
 // hit's decoded tenant rides along: replication multiplies a key's
@@ -163,11 +184,12 @@ func (mc *MultiCluster) installEvictHook(id int, cl *Cluster) {
 // promotion — a noisy neighbor cannot amplify its own overage through
 // the hot tail. A rejected candidate costs a few sketch probes and no
 // allocation: the queue's slots and key buffers are reused.
-func (m *MultiClient) noteHotCandidate(key []byte, tenant TenantID, freq uint64) {
+func (m *MultiClient) noteHotCandidate(node int, key []byte, tenant TenantID, freq uint64) {
 	mc := m.mc
 	kh := hashtable.KeyHash(key)
-	mc.hot.Record(kh)
-	if freq < mc.HotThreshold || mc.snap().oldRing != nil || mc.NumNodes() < 2 {
+	mc.hot.Hit(kh, node)
+	route := mc.snap()
+	if freq < mc.HotThreshold || route.oldRing != nil || mc.NumNodes() < 2 {
 		return
 	}
 	if mc.TenantOverQuota(tenant) {
@@ -177,6 +199,9 @@ func (m *MultiClient) noteHotCandidate(key []byte, tenant TenantID, freq uint64)
 		return
 	}
 	if _, ok := mc.admit(kh); !ok {
+		return
+	}
+	if !m.gate(route, kh) {
 		return
 	}
 	if n := len(m.promo); n < cap(m.promo) {
@@ -199,6 +224,22 @@ func (mc *MultiCluster) admit(kh uint64) (victim *hotset.Entry, ok bool) {
 		mc.AdmissionRejects++
 	}
 	return victim, ok
+}
+
+// gate applies the replication gate (hotset.Spreads) to the candidate
+// with key hash kh under route's ring, counting a rejection in
+// GateRejects. The owners land in m.owners, which promote reuses.
+func (m *MultiClient) gate(route *routeSnapshot, kh uint64) bool {
+	mc := m.mc
+	m.owners = route.hashRing.AppendOwnersN(m.owners[:0], ring.Point(kh), 1+mc.ReplicaFactor)
+	if len(m.owners) < 2 {
+		return false // single-node pool: nothing to spread to
+	}
+	if !mc.hot.Spreads(kh, m.owners[0], m.owners[1:]) {
+		mc.GateRejects++
+		return false
+	}
+	return true
 }
 
 // drainPromotions promotes every queued candidate. Called at the top of
@@ -236,12 +277,14 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 	// copies in front of the migration scan.
 	route := mc.snap()
 	epoch := route.epoch
-	owners := route.hashRing.OwnersN(ring.Point(hashtable.KeyHash(key)), 1+mc.ReplicaFactor)
-	if len(owners) < 2 {
-		return // single-node pool: nothing to spread to
-	}
-	now := m.p.Now()
 	kh := hashtable.KeyHash(key)
+	// Loads moved since the queueing hit (other promotions, demotions):
+	// re-check the gate before any verb.
+	if !m.gate(route, kh) {
+		return
+	}
+	primary, replicas := m.owners[0], append([]int(nil), m.owners[1:]...)
+	now := m.p.Now()
 	// Full directory: demote the least-recently-read entry to make room,
 	// but only for a candidate the sketch ranks strictly hotter (the
 	// sketch moved since the queueing hit, so admission is re-checked).
@@ -263,8 +306,8 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 		Key:      append([]byte(nil), key...),
 		KeyHash:  kh,
 		Epoch:    epoch,
-		Primary:  owners[0],
-		Replicas: owners[1:],
+		Primary:  primary,
+		Replicas: replicas,
 		Tenant:   byte(tenant),
 	}
 	e.Touch(now) // not Victim's immediate minimum before its first read
@@ -320,11 +363,12 @@ func (m *MultiClient) getSpread(key []byte) (val []byte, ok, served bool) {
 		m.demoteKey(key) // ring moved under the replica set
 		return nil, false, false
 	}
-	if e.Evicted {
-		// The primary copy was evicted: the cache dropped this key, so
-		// the replicas must not resurrect it. Dissolve them and fall back
-		// to the routed path (which will miss, as an unreplicated cache
-		// would).
+	if e.Evicted || e.Unfit {
+		// The primary copy was evicted — the cache dropped this key, so
+		// the replicas must not resurrect it — or the gate found the
+		// spreading no longer pays. Dissolve the copies and fall back to
+		// the routed path (which misses after an eviction, as an
+		// unreplicated cache would).
 		m.demoteKey(key)
 		return nil, false, false
 	}
@@ -370,7 +414,7 @@ func (m *MultiClient) mgetSpread(keys [][]byte, vals [][]byte, oks []bool) []int
 			remaining = append(remaining, i)
 			continue
 		}
-		if s := mc.snap(); e.Epoch != s.epoch || s.oldRing != nil || e.Evicted {
+		if s := mc.snap(); e.Epoch != s.epoch || s.oldRing != nil || e.Evicted || e.Unfit {
 			m.demoteKey(keys[i])
 			remaining = append(remaining, i)
 			continue
@@ -409,23 +453,26 @@ func (m *MultiClient) mgetSpread(keys [][]byte, vals [][]byte, oks []bool) []int
 // primary's CAS, then re-materialize the replicas. From the moment the
 // new value is readable on the primary, every replica is empty or
 // already updated — a spread read can never return the superseded
-// value, and after the unlock every copy equals this write. Stale and
-// write-heavy entries are demoted instead (the demote's invalidation
-// also completes before the write returns).
+// value, and after the unlock every copy equals this write. Stale
+// entries, and entries the gate no longer keeps, are demoted instead
+// (the demote's invalidation also completes before the write returns).
+// The gate re-judges an entry on every write once it has absorbed
+// demoteMinWrites of them in the window, so a key whose writes turn its
+// spreading into a net load is demoted without waiting for the window
+// to close.
 func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
 	mc := m.mc
 	// An Evicted entry counts as stale: its primary copy is gone, so the
 	// copy set must be dissolved before this write lands unreplicated.
 	route := mc.snap()
 	stale := e.Epoch != route.epoch || route.oldRing != nil || e.Evicted
-	e.Writes++
-	writeHeavy := e.Writes >= demoteMinWrites && e.Writes > demoteWriteReadRatio*e.Reads
+	unfit := e.Unfit || e.Writes >= demoteMinWrites && !mc.hot.Keeps(e)
 	// A tenant that went over quota since promotion loses its replica
 	// copies on the next write-through: demotion dissolves the 1+R-copy
 	// amplification of its footprint, the same direction quota eviction
 	// pushes from below.
 	overQuota := mc.TenantOverQuota(TenantID(e.Tenant))
-	if stale || writeHeavy || overQuota {
+	if stale || unfit || overQuota {
 		// Demote, then store unreplicated — registered for the store's
 		// span exactly like Set's no-entry branch, so a promotion that
 		// re-publishes this key mid-store comes up warming and is
@@ -443,6 +490,7 @@ func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
 		mc.hot.EndWrite(kh)
 		return err
 	}
+	mc.hot.ChargeWriteThrough(e)
 	m.invalidateReplicas(e) // replicas empty before the new value is readable
 	if err := catchUnavailable(func() { m.setDirect(key, value) }); err != nil {
 		// The primary's owner fail-stopped before the write landed. The
@@ -644,7 +692,7 @@ func (m *MultiClient) resyncAfterWrite(key []byte) error {
 		m.demoteLocked(e)
 		return nil
 	}
-	e.Writes++
+	m.mc.hot.ChargeWriteThrough(e)
 	val, ok := m.readQuiet(e.Primary, key)
 	if !ok {
 		m.demoteLocked(e)

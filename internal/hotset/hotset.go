@@ -7,10 +7,11 @@
 // on a skewed workload the node owning the hottest keys saturates while
 // its peers idle. The replication layer promotes keys whose observed hit
 // frequency crosses a threshold (the same client-side hotness signal the
-// FC cache and the adaptive engine already maintain, §4.2.2/§4.3) into
-// this directory: each Entry records the key's primary ring owner, the
-// ring-successor nodes holding its data replicas, and a rotating read
-// cursor that spreads subsequent reads across all copies.
+// FC cache and the adaptive engine already maintain, §4.2.2/§4.3), and
+// whose spreading would relieve the busiest node (the replication gate,
+// below), into this directory: each Entry records the key's primary ring
+// owner, the ring-successor nodes holding its data replicas, and a
+// rotating read cursor that spreads subsequent reads across all copies.
 //
 // Concurrency discipline (all under the cooperative sim scheduler):
 //
@@ -45,10 +46,24 @@
 //     completes its fan-out with no other registered writer in flight —
 //     a moment at which every copy provably equals the primary.
 //
-// Entries also carry the load accounting (reads vs writes since
-// promotion) that drives load-aware demotion: replication pays 1+R writes
-// per Set, so a key whose write rate overtakes its read rate is demoted
-// by the core layer using these counters.
+// Replication gate: spreading a key is not free — every write to it is
+// fanned out to R more copies (invalidate, then re-materialize), and
+// when the ring already balances the pool, spreading only moves load
+// between equally busy nodes. So the directory keeps a per-node load
+// ledger (gate.go): every hit is charged to the node that served it,
+// every write-through to each replica, and the ledger ages with the
+// admission sketch's halving window W. A candidate is admitted only if
+// spreading it lowers the projected load of the busiest node among its
+// primary and replicas (Spreads): the primary sheds R/(1+R) of the key's
+// estimated reads, each replica takes 1/(1+R) of them plus the
+// write-through cost of the writes the key sees at the pool's write
+// fraction — and a key with writes must lower that maximum by more than
+// the busiest node's counting noise. At every window boundary the same
+// test is re-run on each entry with its own counts (Keeps), and entries
+// that fail it are marked Unfit for the core layer to demote; the core
+// layer also re-runs it on every write of an entry that has absorbed
+// enough writes in the window. Every input is R, the threshold, limit,
+// W or a measured count, so the gate adds no option.
 //
 // Admission: more keys can cross the promotion threshold than the
 // directory holds, and a full directory that always made room — demote
@@ -114,8 +129,16 @@ type Entry struct {
 	// eviction path must not block or issue verbs); acted on under it.
 	Evicted bool
 
-	// Reads and Writes count operations routed through this entry since
-	// promotion — the load signal for write-heavy demotion.
+	// Unfit marks an entry that failed the replication gate at a window
+	// boundary (see closeWindow): its spreading no longer lowers the
+	// busiest node's load. Like Evicted, it is set without the entry
+	// lock and acted on by the next toucher, which demotes the entry.
+	Unfit bool
+
+	// Reads and Writes count operations routed through this entry in the
+	// ledger's current window (they halve with it; Insert seeds Reads
+	// with the sketch's estimate of the key's window so far) — the
+	// counts the gate judges the entry on (Keeps).
 	Reads, Writes int64
 
 	rr       uint64    // rotating cursor over [Primary]+Replicas
@@ -167,6 +190,7 @@ type Set struct {
 	seq     uint64 // insertion counter; stamps Entry.seq
 	entries map[string]*Entry
 	freq    *sketch // recent hit frequency of every key the clients read (Record)
+	ledger  ledger  // the replication gate's per-node counts (gate.go)
 	// read is the COW (copy-on-write) snapshot of entries behind an
 	// atomic pointer, RCU-style: Lookup — the per-read hot path — loads
 	// it once and probes a map no writer will ever mutate, while Insert
@@ -295,7 +319,9 @@ func (s *Set) Unlock(e *Entry) {
 // so copies can be materialized before any writer observes the entry
 // unlocked. It returns false (and inserts nothing) when the key already
 // has an entry. Capacity is the caller's concern: check Len against Limit
-// and demote a Victim first.
+// and demote a Victim first. The entry's Reads start at the sketch's
+// estimate for the key, and the gate's ledger is repriced as if those
+// reads had been spread (see ledger).
 func (s *Set) Insert(p *sim.Proc, e *Entry) bool {
 	k := string(e.Key)
 	if _, ok := s.entries[k]; ok {
@@ -307,15 +333,21 @@ func (s *Set) Insert(p *sim.Proc, e *Entry) bool {
 	e.seq = s.seq
 	s.entries[k] = e
 	s.publishRead()
+	r := int64(s.freq.estimate(e.KeyHash))
+	e.Reads += r
+	s.reprice(e, float64(r), 1)
 	return true
 }
 
 // Remove deletes a LOCKED entry from the directory and wakes every
-// waiter (whose Lock retry then observes the key gone and returns nil).
-// The caller must hold e's lock and must not touch e afterwards.
+// waiter (whose Lock retry then observes the key gone and returns nil),
+// repricing the gate's ledger as if the entry's window of reads had all
+// gone to its primary. The caller must hold e's lock and must not touch
+// e afterwards.
 func (s *Set) Remove(e *Entry) {
 	delete(s.entries, string(e.Key))
 	s.publishRead()
+	s.reprice(e, float64(e.Reads), -1)
 	if s.victim == e {
 		s.victimOK = false
 	}
@@ -362,11 +394,16 @@ func olderThan(e *Entry, lastRead int64, seq uint64) bool {
 	return e.lastRead < lastRead || e.lastRead == lastRead && e.seq < seq
 }
 
-// Record feeds one hit of the key with hash kh to the admission sketch.
-// The core layer calls it for every hit its clients observe — primary
-// and replica-spread reads alike — so the estimates rank every key,
-// promoted or not, by recent read frequency.
-func (s *Set) Record(kh uint64) { s.freq.record(kh) }
+// Record feeds one hit of the key with hash kh to the admission sketch;
+// Hit calls it for every hit the clients observe — primary and
+// replica-spread reads alike — so the estimates rank every key, promoted
+// or not, by recent read frequency. The hit that completes a window
+// also closes the gate's window (closeWindow).
+func (s *Set) Record(kh uint64) {
+	if s.freq.record(kh) {
+		s.closeWindow()
+	}
+}
 
 // Admit applies TinyLFU's admission rule to a promotion candidate with
 // key hash kh. While the directory has room it admits with no victim.

@@ -52,8 +52,9 @@ func newSketch(limit int, window uint64) *sketch {
 // log2(width) bits of the product give each row an independent slot.
 func (s *sketch) index(kh uint64, i int) uint64 { return (kh * sketchSeeds[i]) >> s.shift }
 
-// record counts one sample of the key with hash kh.
-func (s *sketch) record(kh uint64) {
+// record counts one sample of the key with hash kh and reports whether
+// it completed a window (the sketch halved).
+func (s *sketch) record(kh uint64) bool {
 	for i := range s.rows {
 		if c := &s.rows[i][s.index(kh, i)]; *c < math.MaxUint16 {
 			*c++
@@ -61,7 +62,9 @@ func (s *sketch) record(kh uint64) {
 	}
 	if s.samples++; s.samples >= s.window {
 		s.halve()
+		return true
 	}
+	return false
 }
 
 // halve ages the sketch: every counter and the sample count are divided

@@ -167,25 +167,25 @@ func (r *Ring) Owner(keyPoint uint64) int {
 //     only splices in; symmetrically for Without.
 //
 // It panics on an empty ring.
-func (r *Ring) OwnersN(keyPoint uint64, n int) []int {
+func (r *Ring) OwnersN(keyPoint uint64, n int) []int { return r.AppendOwnersN(nil, keyPoint, n) }
+
+// AppendOwnersN appends OwnersN(keyPoint, n) to dst and returns the
+// extended slice; with enough capacity in dst it allocates nothing,
+// which lets per-hit callers reuse one scratch slice.
+func (r *Ring) AppendOwnersN(dst []int, keyPoint uint64, n int) []int {
 	if len(r.points) == 0 {
 		panic("ring: OwnersN on empty ring")
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	if n <= 0 {
-		return nil
-	}
-	owners := make([]int, 0, n)
+	n = min(n, len(r.nodes))
+	base := len(dst)
 	start := r.search(keyPoint)
-	for i := 0; i < len(r.points) && len(owners) < n; i++ {
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		node := r.points[(start+i)%len(r.points)].node
-		if !slices.Contains(owners, node) {
-			owners = append(owners, node)
+		if !slices.Contains(dst[base:], node) {
+			dst = append(dst, node)
 		}
 	}
-	return owners
+	return dst
 }
 
 // search returns the index of the first virtual point at or after
